@@ -674,32 +674,44 @@ fn e17_deadlock_policy(report: &mut JsonReport) {
 }
 
 // ---------------------------------------------------------------------------
-// E10 — two-phase commit across servers.
+// E10 — distributed commit across servers: the one msgs/commit measurement
+// (E25 reuses it).
 // ---------------------------------------------------------------------------
-fn e10_two_pc(report: &mut JsonReport) {
-    println!("## E10 — distributed commit: cost vs participating servers (30us wire latency)\n");
-    println!("| servers | messages/commit | wall time/commit |");
-    println!("|---|---|---|");
-    for &n_servers in &[1usize, 2, 3, 4] {
-        let area_lists: Vec<Vec<u32>> = (0..n_servers).map(|i| vec![i as u32]).collect();
-        let refs: Vec<&[u32]> = area_lists.iter().map(|v| v.as_slice()).collect();
-        let world = World::new(&refs, Duration::from_micros(30));
-        let pages: Vec<DbPage> = (0..n_servers)
-            .map(|i| {
-                let seg = world.area_sets[i].get(i as u32).unwrap().alloc(1).unwrap();
-                DbPage { area: i as u32, page: seg.start_page }
-            })
-            .collect();
-        let c = world.client(1, true);
-        const TXNS: usize = 20;
-        let wreg = world.metrics();
-        let before = wreg.snapshot();
-        let t0 = Instant::now();
-        for t in 0..TXNS {
-            c.begin().unwrap();
-            let mut updates = Vec::new();
-            for p in &pages {
-                let d = c.fetch_page(*p, LockMode::X).unwrap();
+
+/// Messages and wall time per commit for one non-caching client running
+/// `begin; fetch each server's page; commit` against `n_servers` servers,
+/// 30us wire latency, after three warmup transactions. Every page is
+/// written, or only the home server's (`read_mostly`), which leaves the
+/// rest read-only 2PC participants. Messages count a one-way send once and
+/// a call twice.
+fn commit_msgs(n_servers: usize, read_mostly: bool) -> (f64, Duration) {
+    let area_lists: Vec<Vec<u32>> = (0..n_servers).map(|i| vec![i as u32]).collect();
+    let refs: Vec<&[u32]> = area_lists.iter().map(|v| v.as_slice()).collect();
+    let world = World::new(&refs, Duration::from_micros(30));
+    let pages: Vec<DbPage> = (0..n_servers)
+        .map(|i| {
+            let seg = world.area_sets[i].get(i as u32).unwrap().alloc(1).unwrap();
+            DbPage { area: i as u32, page: seg.start_page }
+        })
+        .collect();
+    let c = world.client(1, false);
+    const WARMUP: usize = 3;
+    const TXNS: usize = 16;
+    let wreg = world.metrics();
+    let mut before = wreg.snapshot();
+    let mut t0 = Instant::now();
+    for t in 0..WARMUP + TXNS {
+        if t == WARMUP {
+            before = wreg.snapshot();
+            t0 = Instant::now();
+        }
+        c.begin().unwrap();
+        let mut updates = Vec::new();
+        for (i, p) in pages.iter().enumerate() {
+            let write = !read_mostly || i == 0;
+            let mode = if write { LockMode::X } else { LockMode::S };
+            let d = c.fetch_page(*p, mode).unwrap();
+            if write {
                 updates.push(PageUpdate {
                     page: *p,
                     offset: 0,
@@ -707,20 +719,29 @@ fn e10_two_pc(report: &mut JsonReport) {
                     after: (t as u64).to_le_bytes().to_vec(),
                 });
             }
-            c.commit(updates).unwrap();
         }
-        let wall = t0.elapsed() / TXNS as u32;
-        let d = wreg.snapshot().delta(&before);
-        let messages = d.counter("net.sends") + 2 * d.counter("net.calls");
-        println!(
-            "| {n_servers} | {:.1} | {wall:?} |",
-            messages as f64 / TXNS as f64
-        );
-        report.num(
-            "E10",
-            &format!("servers{n_servers}_msgs_per_commit"),
-            messages as f64 / TXNS as f64,
-        );
+        c.commit(updates).unwrap();
+    }
+    let wall = t0.elapsed() / TXNS as u32;
+    let d = wreg.snapshot().delta(&before);
+    let msgs = d.counter("net.sends") + 2 * d.counter("net.calls");
+    c.disconnect();
+    (msgs as f64 / TXNS as f64, wall)
+}
+
+fn e10_two_pc(report: &mut JsonReport) {
+    println!("## E10 — distributed commit: cost vs participating servers (30us wire latency)\n");
+    println!(
+        "One non-caching client writes one page on every server per \
+         transaction. The frozen presumed-abort baseline (EXPERIMENTS.md \
+         §E25) spent 8.0 / 22.0 / 32.0 / 42.0 msgs/commit at 1-4 servers.\n"
+    );
+    println!("| servers | messages/commit | wall time/commit |");
+    println!("|---|---|---|");
+    for n_servers in [1usize, 2, 3, 4] {
+        let (msgs, wall) = commit_msgs(n_servers, false);
+        println!("| {n_servers} | {msgs:.1} | {wall:?} |");
+        report.num("E10", &format!("servers{n_servers}_msgs_per_commit"), msgs);
         report.int(
             "E10",
             &format!("servers{n_servers}_wall_ns_per_commit"),
@@ -860,12 +881,16 @@ fn e19_failure_containment(report: &mut JsonReport) {
     println!(
         "One client runs `begin; fetch(X); commit` against one server with a \
          deterministic network fault armed at a chosen outbound message \
-         (msg 2 is the commit). After the workload the client's lease is \
+         (msg 1 is the commit). After the workload the client's lease is \
          force-expired, standing in for a crashed workstation.\n"
     );
 
-    // Client message layout for this workload: 0 BeginTxn, 1 FetchPage,
-    // 2 Commit, 3 ReleaseAll.
+    // Client message layout for this workload: 0 FetchPage (the begin
+    // notice rides it as a trailer; `begin` itself sends nothing),
+    // 1 Commit. The end-of-transaction ReleaseAll is a debt for the next
+    // frame to the server, which never comes: `disconnect` would pay it,
+    // but the client is partitioned first, and reclamation releases the
+    // lock instead.
     let run = |fault: Option<(u64, NetFaultKind)>, die_before_commit: bool| {
         let world = World::new(&[&[0]], Duration::ZERO);
         let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
@@ -909,9 +934,9 @@ fn e19_failure_containment(report: &mut JsonReport) {
     println!("|---|---|---|---|---|---|");
     for (label, fault, die) in [
         ("clean run", None, false),
-        ("commit request dropped", Some((2, NetFaultKind::Drop)), false),
-        ("commit reply lost", Some((2, NetFaultKind::DropReply)), false),
-        ("commit duplicated on the wire", Some((2, NetFaultKind::Duplicate)), false),
+        ("commit request dropped", Some((1, NetFaultKind::Drop)), false),
+        ("commit reply lost", Some((1, NetFaultKind::DropReply)), false),
+        ("commit duplicated on the wire", Some((1, NetFaultKind::Duplicate)), false),
         ("client dies holding an X lock", None, true),
     ] {
         let (committed, cli, srv, world) = run(fault, die);
@@ -941,13 +966,16 @@ fn e19_failure_containment(report: &mut JsonReport) {
         cfg.caching = false;
         ClientConn::connect(&world.net, Arc::clone(&world.dir), cfg)
     };
+    let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
+    let page = bess_cache::DbPage { area: 0, page: seg.start_page };
+    // A draining server refuses a transaction's first contact with it.
     world.servers[0].set_draining(true);
-    let drained = client.begin().is_err();
+    client.begin().unwrap();
+    let drained = client.fetch_page(page, bess_lock::LockMode::X).is_err();
+    client.abort().unwrap();
     world.servers[0].set_draining(false);
     world.servers[0].set_read_only(true);
     client.begin().unwrap();
-    let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
-    let page = bess_cache::DbPage { area: 0, page: seg.start_page };
     client.fetch_page(page, bess_lock::LockMode::X).unwrap();
     let rejected = client
         .commit(vec![PageUpdate { page, offset: 0, before: vec![0; 2], after: b"xx".to_vec() }])
@@ -1019,11 +1047,12 @@ fn e20_obs_overhead(report: &mut JsonReport) {
 }
 
 // ---------------------------------------------------------------------------
-// E21 — group commit: multi-threaded commit throughput, per-commit forcing
-// vs the leader-elected batched log force.
+// E21 — group commit: multi-threaded commit throughput of the
+// leader-elected batched log force, against the frozen per-commit-fsync
+// baseline (EXPERIMENTS.md §E21).
 // ---------------------------------------------------------------------------
 fn e21_group_commit(report: &mut JsonReport) {
-    use bess_wal::{GroupCommitConfig, LogBody, LogManager, LogPageId, Lsn};
+    use bess_wal::{LogBody, LogManager, LogPageId, Lsn};
 
     println!("## E21 — group commit: batched log force vs per-commit fsync\n");
     // The memory backend charges a fixed latency per sync — the proxy for a
@@ -1031,11 +1060,16 @@ fn e21_group_commit(report: &mut JsonReport) {
     // fsync count.
     const SYNC_COST: Duration = Duration::from_micros(100);
     const COMMITS_PER_THREAD: u64 = 200;
+    // Per-commit forcing ("solo"), median commits/s of six runs of this
+    // experiment before the solo mode was deleted (2-CPU container, same
+    // proxy), per thread count. The gate holds group commit to the same
+    // ">= 2x solo at 16+ threads" it was held to while solo still ran.
+    const FROZEN_SOLO_TPS: [(u64, f64); 4] =
+        [(1, 6141.0), (4, 5894.0), (16, 6032.0), (64, 5938.0)];
 
-    // One thread-count's run under one config; returns (tps, fsyncs/commit).
-    let run = |threads: u64, cfg: GroupCommitConfig| -> (f64, f64) {
+    // One thread-count's run; returns (tps, fsyncs/commit).
+    let run = |threads: u64| -> (f64, f64) {
         let log = Arc::new(LogManager::create_mem_slow(SYNC_COST));
-        log.set_group_commit(cfg);
         let barrier = Arc::new(std::sync::Barrier::new(threads as usize + 1));
         let workers: Vec<_> = (0..threads)
             .map(|t| {
@@ -1074,31 +1108,34 @@ fn e21_group_commit(report: &mut JsonReport) {
         (commits / secs, fsyncs / commits)
     };
 
-    println!("| threads | solo tps | group tps | speedup | solo fsync/commit | group fsync/commit |");
-    println!("|---|---|---|---|---|---|");
-    for threads in [1u64, 4, 16, 64] {
-        let (solo_tps, solo_ratio) = run(threads, GroupCommitConfig::disabled());
-        let (group_tps, group_ratio) = run(threads, GroupCommitConfig::default());
+    println!("| threads | frozen solo tps | group tps | speedup | group fsync/commit |");
+    println!("|---|---|---|---|---|");
+    for (threads, solo_tps) in FROZEN_SOLO_TPS {
+        let (group_tps, group_ratio) = run(threads);
         let speedup = group_tps / solo_tps;
-        println!(
-            "| {threads} | {solo_tps:.0} | {group_tps:.0} | {speedup:.2}x | \
-             {solo_ratio:.3} | {group_ratio:.3} |"
-        );
+        println!("| {threads} | {solo_tps:.0} | {group_tps:.0} | {speedup:.2}x | {group_ratio:.3} |");
         let sec = "E21";
-        report.num(sec, &format!("t{threads}.solo_commits_per_sec"), solo_tps);
         report.num(sec, &format!("t{threads}.group_commits_per_sec"), group_tps);
         report.num(sec, &format!("t{threads}.speedup"), speedup);
-        report.num(sec, &format!("t{threads}.solo_fsyncs_per_commit"), solo_ratio);
         report.num(sec, &format!("t{threads}.group_fsyncs_per_commit"), group_ratio);
+        if threads >= 16 {
+            assert!(
+                group_tps >= 2.0 * solo_tps && group_ratio < 0.5,
+                "E21 gate at {threads} threads: {group_tps:.0} commits/s \
+                 (floor {:.0}), {group_ratio:.3} fsyncs/commit (ceiling 0.5)",
+                2.0 * solo_tps
+            );
+        }
     }
     report.text(
         "E21",
         "target",
-        ">=2x commit tps and <0.5 fsyncs/commit at 16+ threads",
+        ">=2x the frozen solo commit tps and <0.5 fsyncs/commit at 16+ threads",
     );
     println!(
         "\n(fsync proxy: {}us charged per sync on the memory backend; \
-         solo = per-commit forcing, group = leader-elected batched force)\n",
+         solo = the deleted per-commit forcing, frozen in EXPERIMENTS.md; \
+         group = leader-elected batched force)\n",
         SYNC_COST.as_micros()
     );
 }
@@ -1470,95 +1507,31 @@ fn hot_path_latencies(report: &mut JsonReport) {
 // coordinator batching, piggybacked control traffic.
 // ---------------------------------------------------------------------------
 fn e25_sublinear_2pc(report: &mut JsonReport) {
-    use bess_server::ClientOpts;
-
     println!("## E25 — sublinear distributed commit\n");
     println!(
-        "Baseline: servers in presumed-abort compatibility mode \
-         (`TwoPcConfig::compat_presumed_abort`), client with every \
-         message-saving opt off — the pre-optimisation protocol. \
-         Optimised: presumed-commit one-way decides, batched concurrent \
-         phase 1, read-only participant votes, and the client opts \
-         (`ClientOpts::turbo`): lazy begin, prefetched global ids, \
-         piggybacked ship + release trailers. Non-caching clients \
-         throughout.\n"
+        "The shipped protocol: presumed-commit one-way decides, batched \
+         concurrent phase 1, read-only participant votes, client-allocated \
+         transaction ids, prefetched global ids, and write branches plus \
+         lock releases riding other frames. Non-caching clients \
+         throughout. The presumed-abort protocol it replaced is frozen in \
+         EXPERIMENTS.md §E25.\n"
+    );
+    println!(
+        "### E25a — every server written: see E10 (the same client and \
+         workload; 42.0 msgs/commit at 4 servers under presumed abort)\n"
     );
 
-    // ---- A: messages per commit vs participating servers -----------------
-    let run_msgs = |n_servers: usize, compat: bool, read_mostly: bool| -> (f64, Duration) {
-        let area_lists: Vec<Vec<u32>> = (0..n_servers).map(|i| vec![i as u32]).collect();
-        let refs: Vec<&[u32]> = area_lists.iter().map(|v| v.as_slice()).collect();
-        let world = World::new_configured(&refs, Duration::from_micros(30), |cfg| {
-            cfg.two_pc.compat_presumed_abort = compat;
-        });
-        let pages: Vec<DbPage> = (0..n_servers)
-            .map(|i| {
-                let seg = world.area_sets[i].get(i as u32).unwrap().alloc(1).unwrap();
-                DbPage { area: i as u32, page: seg.start_page }
-            })
-            .collect();
-        let opts = if compat { ClientOpts::default() } else { ClientOpts::turbo() };
-        let c = world.client_with_opts(1, false, opts);
-        const WARMUP: usize = 3;
-        const TXNS: usize = 16;
-        let wreg = world.metrics();
-        let mut before = wreg.snapshot();
-        let mut t0 = Instant::now();
-        for t in 0..WARMUP + TXNS {
-            if t == WARMUP {
-                before = wreg.snapshot();
-                t0 = Instant::now();
-            }
-            c.begin().unwrap();
-            let mut updates = Vec::new();
-            for (i, p) in pages.iter().enumerate() {
-                let write = !read_mostly || i == 0;
-                let mode = if write { LockMode::X } else { LockMode::S };
-                let d = c.fetch_page(*p, mode).unwrap();
-                if write {
-                    updates.push(PageUpdate {
-                        page: *p,
-                        offset: 0,
-                        before: d[0..8].to_vec(),
-                        after: (t as u64).to_le_bytes().to_vec(),
-                    });
-                }
-            }
-            c.commit(updates).unwrap();
-        }
-        let wall = t0.elapsed() / TXNS as u32;
-        let d = wreg.snapshot().delta(&before);
-        let msgs = d.counter("net.sends") + 2 * d.counter("net.calls");
-        c.disconnect();
-        (msgs as f64 / TXNS as f64, wall)
-    };
-
-    println!("### E25a — every server written (the E10 workload, 30us wire latency)\n");
-    println!("| servers | baseline msgs/commit | optimised msgs/commit | baseline wall | optimised wall |");
-    println!("|---|---|---|---|---|");
-    for &n in &[1usize, 2, 3, 4] {
-        let (base, base_wall) = run_msgs(n, true, false);
-        let (opt, opt_wall) = run_msgs(n, false, false);
-        println!("| {n} | {base:.1} | {opt:.1} | {base_wall:?} | {opt_wall:?} |");
-        report.num("E25", &format!("servers{n}_base_msgs_per_commit"), base);
-        report.num("E25", &format!("servers{n}_opt_msgs_per_commit"), opt);
-    }
-    println!();
-
     println!("### E25a' — one write (coordinator), reads everywhere else\n");
-    println!("| servers | baseline msgs/commit | optimised msgs/commit |");
+    println!("| servers | msgs/commit | frozen presumed-abort msgs/commit |");
     println!("|---|---|---|");
-    for &n in &[1usize, 2, 3, 4] {
-        let (base, _) = run_msgs(n, true, true);
-        let (opt, _) = run_msgs(n, false, true);
-        println!("| {n} | {base:.1} | {opt:.1} |");
-        report.num("E25", &format!("servers{n}_base_readonly_msgs_per_commit"), base);
-        report.num("E25", &format!("servers{n}_opt_readonly_msgs_per_commit"), opt);
+    for (n, frozen) in [(1usize, 8.0), (2, 12.0), (3, 16.0), (4, 20.0)] {
+        let (msgs, _) = commit_msgs(n, true);
+        println!("| {n} | {msgs:.1} | {frozen:.1} |");
+        report.num("E25", &format!("servers{n}_readonly_msgs_per_commit"), msgs);
         if n == 4 {
-            report.num("E25", "servers4_readonly_msgs_per_commit", opt);
             assert!(
-                opt <= 16.0,
-                "E25a gate: read-only-participant commit costs {opt:.1} msgs at 4 servers (budget 16)"
+                msgs <= 16.0,
+                "E25a gate: read-only-participant commit costs {msgs:.1} msgs at 4 servers (budget 16)"
             );
         }
     }
@@ -1567,18 +1540,17 @@ fn e25_sublinear_2pc(report: &mut JsonReport) {
     // ---- B: concurrent distributed commit throughput ----------------------
     // Eight clients, disjoint write sets spanning all four servers, one
     // shared coordinator, 500us one-way wire latency (a period LAN hop).
-    // The optimised stack ships every branch inside the CommitGlobal
-    // frame, overlaps its phase-1 fan-out, and merges concurrent rounds'
-    // prepares into shared PrepareBatch frames; phase 2 is a one-way send.
-    let run_tps = |compat: bool| -> (f64, f64) {
+    // The client ships every branch inside the CommitGlobal frame; the
+    // coordinator overlaps its phase-1 fan-out and merges concurrent
+    // rounds' prepares into shared PrepareBatch frames; phase 2 is a
+    // one-way send.
+    let run_tps = || -> (f64, f64) {
         const N: usize = 4;
         const CLIENTS: usize = 8;
         const TXNS: usize = 12;
         let area_lists: Vec<Vec<u32>> = (0..N).map(|i| vec![i as u32]).collect();
         let refs: Vec<&[u32]> = area_lists.iter().map(|v| v.as_slice()).collect();
-        let world = World::new_configured(&refs, Duration::from_micros(500), |cfg| {
-            cfg.two_pc.compat_presumed_abort = compat;
-        });
+        let world = World::new(&refs, Duration::from_micros(500));
         let mut pages: Vec<Vec<DbPage>> = Vec::new();
         for _c in 0..CLIENTS {
             let mut row = Vec::new();
@@ -1588,9 +1560,8 @@ fn e25_sublinear_2pc(report: &mut JsonReport) {
             }
             pages.push(row);
         }
-        let opts = if compat { ClientOpts::default() } else { ClientOpts::turbo() };
         let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| world.client_with_opts(1 + c as u32, false, opts))
+            .map(|c| world.client(1 + c as u32, false))
             .collect();
         let commit_once = |ci: usize, t: usize| {
             let c = &clients[ci];
@@ -1634,21 +1605,25 @@ fn e25_sublinear_2pc(report: &mut JsonReport) {
         ((CLIENTS * TXNS) as f64 / secs, avg_batch)
     };
 
-    println!("### E25b — concurrent commit throughput, 4 servers x 8 clients, 500us wire latency (gate >= 5x)\n");
-    let (base_tps, _) = run_tps(true);
-    let (opt_tps, avg_batch) = run_tps(false);
-    let speedup = opt_tps / base_tps;
+    // The presumed-abort protocol (serial phase 1, acked decides, a
+    // standalone ship round trip per branch) ran this workload at a median
+    // 385 commits/s over six runs on a 2-CPU container (EXPERIMENTS.md
+    // §E25b); the gate keeps the ">= 5x that baseline" it was held to
+    // while the baseline still ran.
+    const FROZEN_PRESUMED_ABORT_TPS: f64 = 385.0;
+    println!("### E25b — concurrent commit throughput, 4 servers x 8 clients, 500us wire latency (gate >= 5x the frozen baseline)\n");
+    let (tps, avg_batch) = run_tps();
+    let speedup = tps / FROZEN_PRESUMED_ABORT_TPS;
     println!("| protocol | commits/sec | avg prepares per batch frame |");
     println!("|---|---|---|");
-    println!("| presumed abort, serial, unbatched | {base_tps:.0} | - |");
-    println!("| presumed commit, concurrent, batched | {opt_tps:.0} | {avg_batch:.2} |");
+    println!("| presumed abort, serial, unbatched (frozen) | {FROZEN_PRESUMED_ABORT_TPS:.0} | - |");
+    println!("| presumed commit, concurrent, batched | {tps:.0} | {avg_batch:.2} |");
     println!("\nspeedup: {speedup:.1}x\n");
-    report.num("E25", "base_commits_per_sec", base_tps);
-    report.num("E25", "opt_commits_per_sec", opt_tps);
+    report.num("E25", "commits_per_sec", tps);
     report.num("E25", "batch_speedup", speedup);
     report.num("E25", "avg_prepare_batch", avg_batch);
     assert!(
         speedup >= 5.0,
-        "E25b gate: batched presumed-commit speedup {speedup:.2}x < 5x"
+        "E25b gate: {tps:.0} commits/s is {speedup:.2}x the frozen presumed-abort baseline (< 5x)"
     );
 }

@@ -24,7 +24,7 @@ use bess_segment::{
     ProtectionPolicy, SegmentCatalog, SegmentManager, TypeRegistry,
 };
 use bess_server::{
-    register_areas, BessServer, ClientConfig, ClientConn, ClientOpts, Directory, Msg,
+    register_areas, BessServer, ClientConfig, ClientConn, Directory, Msg,
     NodeServer, NodeServerConfig, ServerConfig,
 };
 use bess_storage::{AreaConfig, AreaId, DiskSpace, StorageArea};
@@ -104,16 +104,6 @@ impl World {
     /// Builds a world with one server per area list, with the given wire
     /// latency.
     pub fn new(server_areas: &[&[u32]], latency: Duration) -> World {
-        Self::new_configured(server_areas, latency, |_| {})
-    }
-
-    /// [`World::new`] with a per-server config hook (e.g. to select the
-    /// presumed-abort 2PC compatibility mode for an A/B baseline).
-    pub fn new_configured(
-        server_areas: &[&[u32]],
-        latency: Duration,
-        configure: impl Fn(&mut ServerConfig),
-    ) -> World {
         let net = Network::new(latency);
         let dir = Arc::new(Directory::new());
         let mut servers = Vec::new();
@@ -122,10 +112,8 @@ impl World {
             let node = NodeId(100 + i as u32);
             let set = make_areas(areas);
             register_areas(&dir, node, &set);
-            let mut cfg = ServerConfig::new(node);
-            configure(&mut cfg);
             let (server, _) = BessServer::start(
-                cfg,
+                ServerConfig::new(node),
                 Arc::clone(&set),
                 LogManager::create_mem(),
                 &net,
@@ -141,21 +129,11 @@ impl World {
         }
     }
 
-    /// Connects a caching client.
+    /// Connects a client (caching locks between transactions or not)
+    /// whose home server is the first one.
     pub fn client(&self, node: u32, caching: bool) -> Arc<ClientConn> {
-        self.client_with_opts(node, caching, ClientOpts::default())
-    }
-
-    /// Connects a client with explicit message-saving opts.
-    pub fn client_with_opts(
-        &self,
-        node: u32,
-        caching: bool,
-        opts: ClientOpts,
-    ) -> Arc<ClientConn> {
         let mut cfg = ClientConfig::new(NodeId(node), self.servers[0].node());
         cfg.caching = caching;
-        cfg.opts = opts;
         ClientConn::connect(&self.net, Arc::clone(&self.dir), cfg)
     }
 

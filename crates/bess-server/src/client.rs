@@ -12,6 +12,23 @@
 //! client's buffer pools) and [`DiskSpace`] (disk allocation and raw byte
 //! I/O over RPC), which lets the entire `bess-segment` object machinery run
 //! unchanged on a remote client.
+//!
+//! The conversation with the servers is kept short:
+//!
+//! * transaction ids are allocated here, and a transaction's first frame
+//!   to each server carries a [`Msg::BeginTxn`] notice as a trailer (a
+//!   draining server refuses that frame);
+//! * a non-caching client's end-of-transaction `ReleaseAll` rides the next
+//!   frame to that server as a trailer, or goes out one-way from the
+//!   listener's idle tick once it has waited a heartbeat interval. It names
+//!   the transaction it ends, so a server that has already seen a later
+//!   transaction's begin notice ignores it;
+//! * a distributed commit is one [`Msg::CommitGlobal`] frame to the home
+//!   server carrying every write branch; its global id comes from a small
+//!   pool refilled by a `BeginGlobal` trailer on that same frame;
+//! * a non-caching client enrols every server it touched in the round, so
+//!   read-only participants release its locks when they vote. A caching
+//!   client's locks outlive the transaction, so it never does this.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,56 +90,6 @@ impl From<NetError> for ClientError {
 /// Result alias for client operations.
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// Opt-in message-saving behaviours. All default **off**: each one changes
-/// the wire conversation, and fault-injection tests pin exact message
-/// sequences for the default client.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientOpts {
-    /// Allocate local transaction ids client-side instead of calling
-    /// `BeginTxn` at the home server. Ids carry the node in bits 32..63
-    /// and a set top bit, so they can never collide with server-issued
-    /// ids. Saves a round trip per transaction.
-    pub lazy_begin: bool,
-    /// At end of transaction (non-caching clients), piggyback `ReleaseAll`
-    /// as a trailer on the next message to each touched server instead of
-    /// sending it standalone; the listener's idle tick flushes releases
-    /// that found no carrier in time.
-    pub defer_release: bool,
-    /// Keep a small pool of global transaction ids, refilled by a
-    /// `BeginGlobal` trailer riding each `CommitGlobal` frame, so the next
-    /// distributed commit skips the explicit `BeginGlobal` round trip.
-    pub prefetch_gtxn: bool,
-    /// Ship every branch's updates inside the `CommitGlobal` frame
-    /// itself: the coordinator stages its own branch and forwards each
-    /// remote branch in that participant's phase-1 entry, replacing every
-    /// standalone `ShipUpdates` round trip.
-    pub piggyback_ship: bool,
-    /// Enrol every touched server as a 2PC participant and let read-only
-    /// participants release this client's locks when they vote, dropping
-    /// both the `ReleaseAll` to them and their phase-2 traffic. Only
-    /// applied to non-caching connections: a caching client's locks must
-    /// survive the transaction, so vote-time release would be unsound.
-    pub release_read_locks: bool,
-    /// Ship each remote branch's updates from its own thread instead of a
-    /// serial loop, overlapping the per-participant wire round trips.
-    /// Saves latency, not messages.
-    pub concurrent_ship: bool,
-}
-
-impl ClientOpts {
-    /// Every message-saving behaviour at once (bench/turbo preset).
-    pub fn turbo() -> Self {
-        ClientOpts {
-            lazy_begin: true,
-            defer_release: true,
-            prefetch_gtxn: true,
-            piggyback_ship: true,
-            release_read_locks: true,
-            concurrent_ship: true,
-        }
-    }
-}
-
 /// Client configuration.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
@@ -154,8 +121,6 @@ pub struct ClientConfig {
     pub max_retries: u32,
     /// Base delay for the capped exponential retry backoff.
     pub retry_base: Duration,
-    /// Opt-in message-saving behaviours (all off by default).
-    pub opts: ClientOpts,
 }
 
 impl ClientConfig {
@@ -171,7 +136,6 @@ impl ClientConfig {
             heartbeat_interval: Duration::from_millis(500),
             max_retries: 3,
             retry_base: Duration::from_millis(10),
-            opts: ClientOpts::default(),
         }
     }
 }
@@ -233,6 +197,9 @@ pub struct ClientConn {
     overlay: Mutex<HashMap<DbPage, Vec<u8>>>,
     current_txn: Mutex<Option<u64>>,
     servers_touched: Mutex<HashSet<NodeId>>,
+    /// Servers the active transaction has already contacted: each one got
+    /// its begin notice.
+    txn_contacts: Mutex<HashSet<NodeId>>,
     /// Lock requests currently in flight. A callback that races the grant
     /// of one of these must be deferred, not answered "not cached" — the
     /// server may have granted us the lock an instant ago.
@@ -254,19 +221,20 @@ pub struct ClientConn {
     /// see [`Self::fresh_req`].
     // LINT: allow(raw-counter) — request-id allocator for idempotent retry, not a metric
     next_req: AtomicU64,
-    /// Sequence for client-allocated local transaction ids (`lazy_begin`).
+    /// Sequence for client-allocated transaction ids.
     // LINT: allow(raw-counter) — txn-id allocator, not a metric
     next_local_txn: AtomicU64,
-    /// Prefetched global transaction ids (`prefetch_gtxn`), refilled from
-    /// `TxnId` reply trailers.
+    /// Prefetched global transaction ids, refilled from `TxnId` reply
+    /// trailers.
     gtxn_pool: Mutex<Vec<u64>>,
-    /// Servers owed a `ReleaseAll` (`defer_release`), with the time the
-    /// debt was incurred; paid as a trailer on the next message there, or
-    /// flushed by the listener's idle tick once it has waited a heartbeat
-    /// interval without finding a carrier.
-    pending_releases: Mutex<HashMap<NodeId, Instant>>,
-    /// Servers whose locks a read-only 2PC vote already released
-    /// (`release_read_locks`); end-of-transaction skips them.
+    /// Servers owed a `ReleaseAll` (non-caching clients), with the
+    /// transaction it ends and the time the debt was incurred; paid as a
+    /// trailer on the next message there, or flushed by the listener's idle
+    /// tick once it has waited a heartbeat interval without finding a
+    /// carrier.
+    pending_releases: Mutex<HashMap<NodeId, (u64, Instant)>>,
+    /// Servers whose locks a read-only 2PC vote already released;
+    /// end-of-transaction skips them.
     released_by_vote: Mutex<HashSet<NodeId>>,
     /// Last time any message went to each server. The listener suppresses
     /// a standalone heartbeat when real traffic already renewed the lease
@@ -340,6 +308,7 @@ impl ClientConn {
             overlay: Mutex::new(HashMap::new()),
             current_txn: Mutex::new(None),
             servers_touched: Mutex::new(HashSet::new()),
+            txn_contacts: Mutex::new(HashSet::new()),
             pending_locks: Mutex::new(std::collections::HashSet::new()),
             raced_callbacks: Mutex::new(std::collections::HashSet::new()),
             purge_hook: RwLock::new(None),
@@ -535,33 +504,43 @@ impl ClientConn {
     /// heartbeat interval without a carrier message to ride on.
     fn flush_stale_releases(&self) {
         let now = Instant::now();
-        let stale: Vec<NodeId> = {
+        let stale: Vec<(NodeId, u64)> = {
             let mut pending = self.pending_releases.lock();
-            let stale: Vec<NodeId> = pending
+            let stale: Vec<(NodeId, u64)> = pending
                 .iter()
-                .filter(|(_, since)| {
-                    now.duration_since(**since) >= self.cfg.heartbeat_interval
+                .filter(|(_, (_, since))| {
+                    now.duration_since(*since) >= self.cfg.heartbeat_interval
                 })
-                .map(|(n, _)| *n)
+                .map(|(n, (txn, _))| (*n, *txn))
                 .collect();
-            for n in &stale {
+            for (n, _) in &stale {
                 pending.remove(n);
             }
             stale
         };
-        for server in stale {
+        for (server, txn) in stale {
             // One-way is enough: `ReleaseAll` is idempotent and renews the
-            // lease like any other message.
-            let _ = self.caller.send(server, Msg::ReleaseAll);
+            // lease like any other message. It may race the next
+            // transaction's first frame there; the server ignores it if
+            // that frame's begin notice wins.
+            let _ = self.caller.send(server, Msg::ReleaseAll { txn });
             self.note_sent(server);
         }
     }
 
-    /// Trailers owed to `to` that should ride the next frame there.
-    fn take_trailers_for(&self, to: NodeId) -> Vec<Msg> {
+    /// Trailers owed to `to` that should ride the next frame there: a
+    /// `ReleaseAll` debt, and the begin notice when `msg` is the active
+    /// transaction's first contact with `to`. (An abort notice is not a
+    /// contact: it carries no work for the server.)
+    fn take_trailers_for(&self, to: NodeId, msg: &Msg) -> Vec<Msg> {
         let mut trailers = Vec::new();
-        if self.cfg.opts.defer_release && self.pending_releases.lock().remove(&to).is_some() {
-            trailers.push(Msg::ReleaseAll);
+        if let Some((txn, _)) = self.pending_releases.lock().remove(&to) {
+            trailers.push(Msg::ReleaseAll { txn });
+        }
+        if let Some(txn) = self.current_txn() {
+            if !matches!(msg, Msg::Abort { .. }) && self.txn_contacts.lock().insert(to) {
+                trailers.push(Msg::BeginTxn { txn });
+            }
         }
         trailers
     }
@@ -591,9 +570,8 @@ impl ClientConn {
     /// Sends one RPC, retrying transient transport failures with capped
     /// exponential backoff. Only requests that are idempotent (reads,
     /// locks, releases, raw I/O replays) or deduplicated by the server
-    /// (commits, which carry a request id) are retried. `ShipUpdates`,
-    /// `AllocSegment` and `FreeSegment` are neither, so they fail fast: a
-    /// reshipped update set would double-buffer, a retried alloc whose
+    /// (commits, which carry a request id) are retried. `AllocSegment` and
+    /// `FreeSegment` are neither, so they fail fast: a retried alloc whose
     /// first delivery executed leaks a segment, and a retried free can
     /// free a segment another client was handed in the meantime.
     fn rpc(&self, to: NodeId, msg: Msg) -> ClientResult<Msg> {
@@ -601,7 +579,7 @@ impl ClientConn {
     }
 
     /// [`Self::rpc`] with caller-supplied trailers riding the same frame
-    /// (any `ReleaseAll` debt for `to` joins them).
+    /// (any `ReleaseAll` debt and begin notice for `to` join them).
     fn rpc_with_trailers(
         &self,
         to: NodeId,
@@ -609,21 +587,30 @@ impl ClientConn {
         mut trailers: Vec<Msg>,
     ) -> ClientResult<Msg> {
         self.servers_touched.lock().insert(to);
-        let retryable = !matches!(
-            msg,
-            Msg::ShipUpdates { .. } | Msg::AllocSegment { .. } | Msg::FreeSegment { .. }
-        );
+        let retryable = !matches!(msg, Msg::AllocSegment { .. } | Msg::FreeSegment { .. });
         // Piggyback any control debt for this server on the frame. A
         // retried frame re-runs non-deduplicated trailers server-side;
-        // everything we attach here (`ReleaseAll`) is idempotent, and
-        // deduplicated carriers never re-run their trailers at all.
-        trailers.extend(self.take_trailers_for(to));
+        // everything we attach here (`ReleaseAll`, the begin notice) is
+        // idempotent, and deduplicated carriers never re-run their
+        // trailers at all.
+        trailers.extend(self.take_trailers_for(to, &msg));
+        let noticed = trailers.iter().any(|t| matches!(t, Msg::BeginTxn { .. }));
         let msg = Msg::with_trailers(msg, trailers);
         self.note_sent(to);
         let mut attempt = 0u32;
         loop {
             match self.caller.call(to, msg.clone(), self.cfg.rpc_timeout) {
-                Ok(reply) => return Ok(self.absorb_reply(reply)),
+                Ok(reply) => {
+                    let reply = self.absorb_reply(reply);
+                    if noticed && matches!(reply, Msg::Err(_)) {
+                        // A refused notice refuses its carrier: the
+                        // transaction was not admitted there, so the next
+                        // frame carries the notice again (and a draining
+                        // server refuses that one too).
+                        self.txn_contacts.lock().remove(&to);
+                    }
+                    return Ok(reply);
+                }
                 Err(e) if retryable && e.is_transient() && attempt < self.cfg.max_retries => {
                     attempt += 1;
                     self.stats.retries.inc();
@@ -633,32 +620,30 @@ impl ClientConn {
                         self.cfg.node.0,
                     ));
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => {
+                    if noticed {
+                        // The notice may never have arrived: the next
+                        // frame there carries it again.
+                        self.txn_contacts.lock().remove(&to);
+                    }
+                    return Err(e.into());
+                }
             }
         }
     }
 
     // ---- transactions ----------------------------------------------------
 
-    /// Begins a transaction. By default the id comes from the home server
-    /// (`BeginTxn`); with [`ClientOpts::lazy_begin`] it is allocated
-    /// locally — top bit set, node in bits 32..63 — which no server-issued
-    /// id can collide with, and the round trip is saved.
+    /// Begins a transaction. The id is allocated locally — top bit set,
+    /// node in bits 32..62 — so no server-issued id can collide with it,
+    /// and no message is sent: each server learns of the transaction from
+    /// the begin notice on its first frame there.
     pub fn begin(&self) -> ClientResult<u64> {
-        if self.cfg.opts.lazy_begin {
-            let seq = self.next_local_txn.fetch_add(1, Ordering::Relaxed);
-            let t = (1u64 << 63) | (u64::from(self.cfg.node.0) << 32) | (seq & 0xFFFF_FFFF);
-            *self.current_txn.lock() = Some(t);
-            return Ok(t);
-        }
-        match self.rpc(self.cfg.home, Msg::BeginTxn)? {
-            Msg::TxnId(t) => {
-                *self.current_txn.lock() = Some(t);
-                Ok(t)
-            }
-            Msg::Err(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Server(format!("bad reply {other:?}"))),
-        }
+        let seq = self.next_local_txn.fetch_add(1, Ordering::Relaxed);
+        let t = (1u64 << 63) | (u64::from(self.cfg.node.0) << 32) | (seq & 0xFFFF_FFFF);
+        self.txn_contacts.lock().clear();
+        *self.current_txn.lock() = Some(t);
+        Ok(t)
     }
 
     /// The active transaction, if any.
@@ -758,24 +743,24 @@ impl ClientConn {
     }
 
     /// Commits the active transaction with the given page updates. Groups
-    /// updates by owning server; multiple owners trigger two-phase commit
-    /// through the home server (§3).
+    /// updates by owning server; multiple owners — or, for a non-caching
+    /// client, one owner plus servers it only read — trigger two-phase
+    /// commit through the home server (§3).
     pub fn commit(&self, updates: Vec<PageUpdate>) -> ClientResult<()> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
         // Times the whole commit conversation — single-server fast path or
-        // ship + coordinate — as the client observes it, retries included.
+        // coordinated 2PC — as the client observes it, retries included.
         let _timer = self.commit_rtt_ns.start();
         let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
         for u in updates {
             by_owner.entry(self.owner_of(u.page.area)?).or_default().push(u);
         }
-        // A single write owner normally takes the one-message fast path;
-        // with `release_read_locks` on, a transaction that also *read* from
-        // other servers goes through 2PC anyway, so those servers join the
-        // round as read-only participants and shed their locks at phase 1
-        // instead of waiting for a ReleaseAll.
-        let enrol_readers = self.cfg.opts.release_read_locks
-            && !self.effective_caching()
+        // A single write owner normally takes the one-message fast path; a
+        // non-caching transaction that also *read* from other servers goes
+        // through 2PC anyway, so those servers join the round as read-only
+        // participants and shed their locks at phase 1 instead of waiting
+        // for a ReleaseAll.
+        let enrol_readers = !self.effective_caching()
             && self
                 .servers_touched
                 .lock()
@@ -807,20 +792,16 @@ impl ClientConn {
         result
     }
 
-    /// Distributed commit: ship updates, then ask the home server to
-    /// coordinate. With the message-saving opts on, the `BeginGlobal` comes
-    /// from the prefetched pool (refilled by a trailer on this very frame),
-    /// the home server's updates ride the `CommitGlobal` frame as a
-    /// trailer, every touched server joins the round so read-only voters
-    /// release our locks at phase 1, and the whole conversation collapses
-    /// toward one frame per remote write participant plus one to the
-    /// coordinator.
+    /// Distributed commit: one `CommitGlobal` frame to the home server
+    /// carrying every write branch. The global id comes from the
+    /// prefetched pool (a `BeginGlobal` trailer on this frame refills it;
+    /// an empty pool costs one explicit round trip). A non-caching client
+    /// also enrols every server it touched, so read-only voters release
+    /// its locks at phase 1.
     fn commit_global(&self, by_owner: HashMap<NodeId, Vec<PageUpdate>>) -> ClientResult<()> {
-        let opts = self.cfg.opts;
-        let release_read_locks = opts.release_read_locks && !self.effective_caching();
-        // The pool only ever fills when `prefetch_gtxn` is on; an empty
-        // pool (or the opt off) falls back to the explicit round trip.
-        let gtxn = match self.gtxn_pool.lock().pop() {
+        let release_read_locks = !self.effective_caching();
+        let pooled = self.gtxn_pool.lock().pop();
+        let gtxn = match pooled {
             Some(g) => g,
             None => match self.rpc(self.cfg.home, Msg::BeginGlobal)? {
                 Msg::TxnId(g) => g,
@@ -829,63 +810,19 @@ impl ClientConn {
         };
         let mut participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
         if release_read_locks {
-            // Enrol read-only touched servers: their phase-1 vote releases
-            // our locks and drops them from phase 2.
             for s in self.servers_touched.lock().iter() {
                 if !participants.contains(&s.0) {
                     participants.push(s.0);
                 }
             }
-            participants.sort_unstable();
         }
+        participants.sort_unstable();
         let write_owners: HashSet<u32> = by_owner.keys().map(|n| n.0).collect();
-        let mut commit_trailers: Vec<Msg> = Vec::new();
-        let mut branches: Vec<(u32, Vec<PageUpdate>)> = Vec::new();
-        let mut remote_ships: Vec<(NodeId, Vec<PageUpdate>)> = Vec::new();
-        for (owner, updates) in by_owner {
-            if opts.piggyback_ship {
-                // Every branch rides the CommitGlobal frame itself: the
-                // coordinator stages its own branch and forwards each
-                // remote branch inside that participant's phase-1 entry —
-                // zero standalone ship round trips.
-                branches.push((owner.0, updates));
-                continue;
-            }
-            remote_ships.push((owner, updates));
-        }
+        let mut branches: Vec<(u32, Vec<PageUpdate>)> =
+            by_owner.into_iter().map(|(owner, updates)| (owner.0, updates)).collect();
         branches.sort_unstable_by_key(|(p, _)| *p);
-        // With `concurrent_ship`, ship every remote branch at once: the
-        // update sets are disjoint by construction (grouped by owner), so
-        // there is no ordering to preserve, and a serial loop would pay
-        // one wire round trip per participant.
-        let ship_replies: Vec<ClientResult<Msg>> = if opts.concurrent_ship {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = remote_ships
-                    .into_iter()
-                    .map(|(owner, updates)| {
-                        s.spawn(move || self.rpc(owner, Msg::ShipUpdates { gtxn, updates }))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // LINT: allow(panic) — propagates a panic from the ship thread
-                    .map(|h| h.join().expect("ship thread panicked"))
-                    .collect()
-            })
-        } else {
-            remote_ships
-                .into_iter()
-                .map(|(owner, updates)| self.rpc(owner, Msg::ShipUpdates { gtxn, updates }))
-                .collect()
-        };
-        for reply in ship_replies {
-            match reply? {
-                Msg::Ok => {}
-                Msg::Err(e) => return Err(ClientError::Server(e)),
-                other => return Err(ClientError::Server(format!("bad reply {other:?}"))),
-            }
-        }
-        if opts.prefetch_gtxn && self.gtxn_pool.lock().is_empty() {
+        let mut commit_trailers: Vec<Msg> = Vec::new();
+        if self.gtxn_pool.lock().is_empty() {
             commit_trailers.push(Msg::BeginGlobal);
         }
         let req = self.fresh_req();
@@ -946,6 +883,7 @@ impl ClientConn {
     fn end_txn(&self, txn: u64) -> ClientResult<()> {
         self.overlay.lock().clear();
         *self.current_txn.lock() = None;
+        self.txn_contacts.lock().clear();
         if self.effective_caching() {
             // Locks stay cached; answer deferred callbacks now.
             let released = self.lock_cache.finish_txn(TxnId(txn));
@@ -964,9 +902,9 @@ impl ClientConn {
         } else {
             // Transaction-duration caching (§3): drop everything. Servers
             // whose read-only 2PC vote already released our locks are
-            // skipped; with `defer_release` the rest become debts paid as
-            // trailers on the next frame there (the listener's idle tick
-            // is the fallback carrier).
+            // skipped; the rest become debts paid as trailers on the next
+            // frame there (the listener's idle tick is the fallback
+            // carrier).
             self.lock_cache.clear();
             let released: HashSet<NodeId> =
                 std::mem::take(&mut *self.released_by_vote.lock());
@@ -975,15 +913,9 @@ impl ClientConn {
                 if released.contains(&server) {
                     continue;
                 }
-                if self.cfg.opts.defer_release {
-                    self.pending_releases
-                        .lock()
-                        .entry(server)
-                        .or_insert_with(Instant::now);
-                } else {
-                    let _ = self.caller.call(server, Msg::ReleaseAll, self.cfg.rpc_timeout);
-                    self.note_sent(server);
-                }
+                self.pending_releases
+                    .lock()
+                    .insert(server, (txn, Instant::now()));
             }
         }
         Ok(())
@@ -992,14 +924,14 @@ impl ClientConn {
     /// Disconnects: stops the listener and releases every cached lock
     /// (deferred release debts are paid immediately).
     pub fn disconnect(&self) {
-        let owed: Vec<NodeId> = self
+        let owed: Vec<(NodeId, u64)> = self
             .pending_releases
             .lock()
             .drain()
-            .map(|(n, _)| n)
+            .map(|(n, (txn, _))| (n, txn))
             .collect();
-        for server in owed {
-            let _ = self.caller.call(server, Msg::ReleaseAll, self.cfg.rpc_timeout);
+        for (server, txn) in owed {
+            let _ = self.caller.call(server, Msg::ReleaseAll { txn }, self.cfg.rpc_timeout);
         }
         let names = self.lock_cache.clear();
         let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();

@@ -5,7 +5,7 @@
 //!
 //! * [`BessServer`] — owns storage areas; strict 2PL with timeout deadlock
 //!   detection, ARIES-like WAL with restart recovery, **callback locking**
-//!   towards clients, and presumed-abort **two-phase commit** (coordinator
+//!   towards clients, and presumed-commit **two-phase commit** (coordinator
 //!   and participant roles);
 //! * [`NodeServer`] — a diskless BeSS server: client of the real servers,
 //!   server for its node's applications, with the shared client cache of
@@ -29,8 +29,7 @@ mod scrub;
 mod server;
 
 pub use client::{
-    ClientConfig, ClientConn, ClientError, ClientOpts, ClientResult,
-    ClientStats, RemoteIo, RemoteSpace,
+    ClientConfig, ClientConn, ClientError, ClientResult, ClientStats, RemoteIo, RemoteSpace,
 };
 pub use directory::Directory;
 pub use nodeserver::{NodeHandle, NodeServer, NodeServerConfig, NodeServerStats};
@@ -38,7 +37,6 @@ pub use proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote};
 pub use scrub::{ScrubConfig, ScrubPassReport};
 pub use server::{
     register_areas, AreaTarget, BessServer, ServerConfig, ServerStats,
-    TwoPcConfig,
 };
 
 #[cfg(test)]
@@ -112,6 +110,13 @@ mod tests {
             offset,
             before: before.to_vec(),
             after: after.to_vec(),
+        }
+    }
+
+    /// A coordinator's phase-1 frame staging and preparing one branch.
+    fn prepare_with(gtxn: GTxn, updates: Vec<PageUpdate>) -> Msg {
+        Msg::PrepareBatch {
+            items: vec![PrepareItem { gtxn, locker: 0, release_locks: false, updates }],
         }
     }
 
@@ -375,22 +380,16 @@ mod tests {
             Msg::TxnId(g) => g,
             other => panic!("{other:?}"),
         };
-        driver
-            .call(
-                NodeId(101),
-                Msg::ShipUpdates {
-                    gtxn,
-                    updates: vec![update(p, 0, &[0; 5], b"doubt")],
-                },
-                Duration::from_secs(2),
-            )
-            .unwrap();
-        assert!(matches!(
+        assert_eq!(
             driver
-                .call(NodeId(101), Msg::Prepare { gtxn, locker: 0, release_locks: false }, Duration::from_secs(2))
+                .call(
+                    NodeId(101),
+                    prepare_with(gtxn, vec![update(p, 0, &[0; 5], b"doubt")]),
+                    Duration::from_secs(2),
+                )
                 .unwrap(),
-            Msg::VoteYes
-        ));
+            Msg::VoteBatch { votes: vec![(gtxn, Vote::Yes)] }
+        );
         // Coordinator decides commit durably, but the participant crashes
         // before hearing it. Restart the coordinator so its decision table
         // is rebuilt from its log.
@@ -450,15 +449,9 @@ mod tests {
         driver
             .call(
                 NodeId(101),
-                Msg::ShipUpdates {
-                    gtxn,
-                    updates: vec![update(p, 0, &[0; 3], b"bad")],
-                },
+                prepare_with(gtxn, vec![update(p, 0, &[0; 3], b"bad")]),
                 Duration::from_secs(2),
             )
-            .unwrap();
-        driver
-            .call(NodeId(101), Msg::Prepare { gtxn, locker: 0, release_locks: false }, Duration::from_secs(2))
             .unwrap();
 
         let part_log = part.log().simulate_crash().unwrap();
@@ -600,11 +593,82 @@ mod tests {
         a.begin().unwrap();
         a.fetch_page(p, LockMode::X).unwrap();
         a.commit(vec![update(p, 0, &[0], &[1])]).unwrap();
-        // No callback needed: A released at commit. B acquires immediately.
+        // A's ReleaseAll waits for a carrier frame, but its transaction is
+        // over: B's conflicting request is served at once, because A
+        // answers the callback with an immediate release, never a
+        // deferral.
         b.begin().unwrap();
         b.fetch_page(p, LockMode::X).unwrap();
         b.commit(vec![update(p, 0, &[1], &[2])]).unwrap();
-        assert_eq!(w.servers[0].stats().callbacks_sent.get(), 0);
+        let s = w.servers[0].stats();
+        assert_eq!(s.callbacks_sent.get(), 1);
+        assert_eq!(s.callback_releases.get(), 1);
+        assert_eq!(s.callback_deferred.get(), 0);
+        assert_eq!(s.locks_denied.get(), 0);
+        assert!(w.servers[0].locks_held_by(NodeId(1)).is_empty());
+    }
+
+    /// A deferred `ReleaseAll` can reach the server after the client's next
+    /// transaction was granted there: the idle tick's one-way flush races
+    /// the next first fetch (the server runs frames on a worker pool), and
+    /// a network duplicate of a debt-carrying frame can run its trailers
+    /// after a later frame. Either way it names a transaction that is no
+    /// longer current, and the later transaction keeps its locks.
+    #[test]
+    fn stale_release_never_drops_a_later_transactions_locks() {
+        let w = world(&[&[0]]);
+        let p = seg_page(&w, 0);
+        let srv = w.servers[0].node();
+        let peer = w.net.register(NodeId(7));
+        let timeout = Duration::from_secs(2);
+        let fetch = Msg::FetchPage { page: p, mode: LockMode::X };
+        let first = |trailers: Vec<Msg>| Msg::with_trailers(fetch.clone(), trailers);
+        let (t1, t2) = (11u64, 12u64);
+        let held = || w.servers[0].locks_held_by(NodeId(7));
+
+        // T1 fetches p, ends, and owes the server a release.
+        let r = peer.call(srv, first(vec![Msg::BeginTxn { txn: t1 }]), timeout);
+        assert!(matches!(r, Ok(Msg::PageData(_))), "{r:?}");
+        // The idle tick took the debt, but T2's first fetch is served first.
+        let r = peer.call(srv, first(vec![Msg::BeginTxn { txn: t2 }]), timeout);
+        assert!(matches!(r, Ok(Msg::PageData(_))), "{r:?}");
+        assert_eq!(peer.call(srv, Msg::ReleaseAll { txn: t1 }, timeout).unwrap(), Msg::Ok);
+        assert_eq!(held().len(), 1, "the late flush dropped T2's lock");
+        // A duplicate of a frame that carried T1's debt is just as late.
+        let dup = first(vec![Msg::ReleaseAll { txn: t1 }, Msg::BeginTxn { txn: t2 }]);
+        assert!(matches!(peer.call(srv, dup, timeout), Ok(Msg::PageData(_))));
+        assert_eq!(held().len(), 1, "the duplicated trailer dropped T2's lock");
+        assert_eq!(w.servers[0].stats().stale_releases.get(), 2);
+        // T2's own release still works.
+        assert_eq!(peer.call(srv, Msg::ReleaseAll { txn: t2 }, timeout).unwrap(), Msg::Ok);
+        assert!(held().is_empty());
+    }
+
+    /// The node server scopes an application's `ReleaseAll` the same way:
+    /// a late release of T1 leaves T2's local lock in place, so another
+    /// application still waits for it.
+    #[test]
+    fn node_server_ignores_a_stale_application_release() {
+        let w = world(&[&[0]]);
+        let mut cfg = NodeServerConfig::new(NodeId(50));
+        cfg.lock_timeout = Duration::from_millis(100);
+        let ns = NodeServer::start(cfg, Arc::clone(&w.dir), &w.net);
+        let p = seg_page(&w, 0);
+        let (a, b) = (w.net.register(NodeId(51)), w.net.register(NodeId(52)));
+        let timeout = Duration::from_secs(2);
+        let fetch = |txn: u64| {
+            Msg::with_trailers(
+                Msg::FetchPage { page: p, mode: LockMode::X },
+                vec![Msg::BeginTxn { txn }],
+            )
+        };
+        assert!(matches!(a.call(ns.node(), fetch(1), timeout), Ok(Msg::PageData(_))));
+        assert!(matches!(a.call(ns.node(), fetch(2), timeout), Ok(Msg::PageData(_))));
+        assert_eq!(a.call(ns.node(), Msg::ReleaseAll { txn: 1 }, timeout).unwrap(), Msg::Ok);
+        let r = b.call(ns.node(), fetch(9), timeout);
+        assert!(matches!(r, Ok(Msg::Denied(_))), "T2's lock was dropped: {r:?}");
+        assert_eq!(a.call(ns.node(), Msg::ReleaseAll { txn: 2 }, timeout).unwrap(), Msg::Ok);
+        assert!(matches!(b.call(ns.node(), fetch(9), timeout), Ok(Msg::PageData(_))));
     }
 }
 

@@ -126,6 +126,10 @@ struct NsInner {
     lock_cache: Arc<LockCache>,
     pending_locks: Mutex<std::collections::HashSet<LockName>>,
     raced_callbacks: Mutex<std::collections::HashSet<LockName>>,
+    /// Each application's current transaction, as named by its latest
+    /// begin notice; a `ReleaseAll` naming any other one is stale and
+    /// ignored (see the server's `node_txns`).
+    app_txns: Mutex<HashMap<u32, u64>>,
     /// §6 client logging: the node's local write-ahead log. Commits become
     /// durable here first; shipping to the owning servers is write-behind.
     local_log: Option<Arc<LogManager>>,
@@ -199,6 +203,7 @@ impl NodeServer {
             lock_cache: Arc::new(LockCache::new()),
             pending_locks: Mutex::new(std::collections::HashSet::new()),
             raced_callbacks: Mutex::new(std::collections::HashSet::new()),
+            app_txns: Mutex::new(HashMap::new()),
             local_log,
             unshipped: Mutex::new(HashMap::new()),
             ship_done: Condvar::new(),
@@ -471,9 +476,11 @@ impl NsInner {
             return Msg::with_trailers(reply, t_replies);
         }
         match msg {
-            Msg::BeginTxn => {
-                let seq = self.next_txn.fetch_add(1, Ordering::Relaxed);
-                Msg::TxnId((u64::from(self.cfg.node.0) << 32) | seq)
+            // A local application's begin notice: its transaction id is
+            // its own; it only scopes the application's next `ReleaseAll`.
+            Msg::BeginTxn { txn } => {
+                self.app_txns.lock().insert(from.0, txn);
+                Msg::Ok
             }
             Msg::Lock { name, mode } => {
                 match self.lock_for(TxnId(u64::from(from.0)), name, mode) {
@@ -514,8 +521,14 @@ impl NsInner {
                 self.end_local_txn(TxnId(u64::from(from.0)));
                 Msg::Ok
             }
-            Msg::ReleaseAll => {
-                self.end_local_txn(TxnId(u64::from(from.0)));
+            Msg::ReleaseAll { txn } => {
+                // Held across the release so the application's next begin
+                // notice cannot slip between the check and the unlock.
+                let mut current = self.app_txns.lock();
+                if current.get(&from.0).is_none_or(|t| *t == txn) {
+                    current.remove(&from.0);
+                    self.end_local_txn(TxnId(u64::from(from.0)));
+                }
                 Msg::Ok
             }
             // Disk-space requests are forwarded to the owning server.
@@ -833,19 +846,10 @@ impl NsInner {
                     Err(e) => return Err(e.to_string()),
                 };
                 let participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
-                for (owner, ups) in by_owner {
-                    match self.call_srv(
-                        owner,
-                        Msg::ShipUpdates {
-                            gtxn,
-                            updates: ups,
-                        },
-                    ) {
-                        Ok(Msg::Ok) => {}
-                        Ok(other) => return Err(format!("bad reply {other:?}")),
-                        Err(e) => return Err(e.to_string()),
-                    }
-                }
+                // Every branch rides the commit frame: the coordinator
+                // stages its own and forwards the rest in phase 1.
+                let branches: Vec<(u32, Vec<PageUpdate>)> =
+                    by_owner.into_iter().map(|(n, ups)| (n.0, ups)).collect();
                 let req =
                     crate::client::make_req(self.incarnation, self.next_req.fetch_add(1, Ordering::Relaxed));
                 match self.call_srv(
@@ -855,7 +859,7 @@ impl NsInner {
                         participants,
                         req,
                         release_read_locks: false,
-                        branches: Vec::new(),
+                        branches,
                     },
                 ) {
                     Ok(Msg::Decision { committed: true }) => Ok(()),

@@ -53,11 +53,10 @@ pub struct PrepareItem {
     /// locks at vote time (sound only for non-caching, one-transaction-
     /// at-a-time clients that opted in).
     pub release_locks: bool,
-    /// This branch's piggybacked page updates: a client that shipped its
-    /// write sets inside [`Msg::CommitGlobal`] (see its `branches` field)
-    /// has them forwarded here, so the participant stages and prepares
-    /// in one wire frame. Empty when the branch was shipped with a
-    /// standalone [`Msg::ShipUpdates`] beforehand.
+    /// This branch's page updates, forwarded from the `branches` of the
+    /// [`Msg::CommitGlobal`] that started the round, so the participant
+    /// stages and prepares in one wire frame. Empty for a read-only
+    /// participant.
     pub updates: Vec<PageUpdate>,
 }
 
@@ -80,8 +79,17 @@ pub struct PageUpdate {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
     // ---- client -> server requests -----------------------------------
-    /// Start a transaction; reply: [`Msg::TxnId`].
-    BeginTxn,
+    /// Begin notice: marks a frame as a transaction's first contact with
+    /// this server. Clients allocate their own transaction ids, so the
+    /// notice rides that first frame as a trailer instead of costing a
+    /// round trip; reply: [`Msg::Ok`]. A draining server refuses it, and
+    /// with it the carrier, so no new transaction starts there. The server
+    /// records `txn` as the sender's current transaction, which scopes a
+    /// later [`Msg::ReleaseAll`].
+    BeginTxn {
+        /// The client-allocated transaction id.
+        txn: u64,
+    },
     /// Acquire a lock (owner = requesting node) and return the page bytes;
     /// reply: [`Msg::PageData`] or [`Msg::Denied`].
     FetchPage {
@@ -109,9 +117,14 @@ pub enum Msg {
         /// The resources to release.
         names: Vec<LockName>,
     },
-    /// Release every lock held by the requesting node (transaction-duration
-    /// caching clients, §3); reply: [`Msg::Ok`].
-    ReleaseAll,
+    /// Release every lock held by the requesting node at the end of `txn`
+    /// (transaction-duration caching clients, §3); reply: [`Msg::Ok`]. A
+    /// no-op once a later transaction of the node has begun there, so a
+    /// late or duplicated release never drops that transaction's locks.
+    ReleaseAll {
+        /// The transaction whose end this releases.
+        txn: u64,
+    },
     /// Allocate a disk segment; reply: [`Msg::DiskSeg`].
     AllocSegment {
         /// Storage area.
@@ -153,7 +166,7 @@ pub enum Msg {
     },
     /// Single-server commit: log + apply the updates; reply: [`Msg::Ok`].
     Commit {
-        /// Server-assigned transaction id (from [`Msg::BeginTxn`]).
+        /// Client-allocated transaction id.
         txn: u64,
         /// The page updates.
         updates: Vec<PageUpdate>,
@@ -171,14 +184,6 @@ pub enum Msg {
     Heartbeat,
 
     // ---- two-phase commit (§3) ----------------------------------------
-    /// Ship a distributed transaction's updates to a participant ahead of
-    /// prepare; reply: [`Msg::Ok`].
-    ShipUpdates {
-        /// Global transaction.
-        gtxn: GTxn,
-        /// Updates owned by this participant.
-        updates: Vec<PageUpdate>,
-    },
     /// Ask the coordinator (the client's first server, §3) to run 2PC;
     /// reply: [`Msg::Decision`].
     CommitGlobal {
@@ -193,40 +198,28 @@ pub enum Msg {
         /// phase 1 (the read-only-participant optimisation; sound only
         /// for non-caching, one-transaction-at-a-time clients).
         release_read_locks: bool,
-        /// Per-participant write sets piggybacked on the commit request
+        /// Per-participant write sets carried by the commit request
         /// itself (`(node, updates)`): the coordinator stages its own
         /// branch and forwards each remote branch inside that
-        /// participant's [`PrepareItem`], replacing the per-participant
-        /// [`Msg::ShipUpdates`] round trips. Empty for clients that ship
-        /// ahead of commit.
+        /// participant's [`PrepareItem`].
         branches: Vec<(u32, Vec<PageUpdate>)>,
     },
-    /// Coordinator → participant phase 1; reply: [`Msg::VoteYes`],
-    /// [`Msg::VoteNo`], or [`Msg::VoteReadOnly`].
-    Prepare {
-        /// Global transaction.
-        gtxn: GTxn,
-        /// The committing client's node (whose locks cover this branch),
-        /// or `0` when unknown.
-        locker: u32,
-        /// Release `locker`'s locks if this participant votes read-only.
-        release_locks: bool,
-    },
-    /// Coordinator → participant batched phase 1: one wire frame carrying
-    /// the prepare requests of several concurrent global transactions;
+    /// Coordinator → participant phase 1: one wire frame carrying the
+    /// prepare requests of one or more concurrent global transactions;
     /// reply: [`Msg::VoteBatch`].
     PrepareBatch {
         /// One phase-1 request per concurrent global transaction.
         items: Vec<PrepareItem>,
     },
-    /// Coordinator → participant batched phase 2. Sent **one-way** when
-    /// every decision in the batch is a commit (presumed commit: no ack
-    /// round); sent as a call otherwise.
+    /// Coordinator → participant batched phase 2 for commit verdicts,
+    /// sent **one-way** (presumed commit: no ack round). Restart re-sends
+    /// verdicts whose delivery the log cannot prove.
     DecideBatch {
         /// `(gtxn, commit)` verdicts.
         decisions: Vec<(GTxn, bool)>,
     },
-    /// Coordinator → participant phase 2; reply: [`Msg::Ok`].
+    /// Coordinator → participant abort verdict, acknowledged so the round
+    /// knows the undo ran; reply: [`Msg::Ok`].
     Decide {
         /// Global transaction.
         gtxn: GTxn,
@@ -291,14 +284,6 @@ pub enum Msg {
     /// The lock is in use; release will follow via
     /// [`Msg::ReleaseCached`].
     CallbackDeferred,
-    /// Participant votes yes.
-    VoteYes,
-    /// Participant votes no.
-    VoteNo,
-    /// Participant votes: it made no updates for this transaction. It has
-    /// already forgotten the branch (and released the requester's locks if
-    /// asked); the coordinator must drop it from phase 2.
-    VoteReadOnly,
     /// Participant's batched phase-1 votes, one per [`Msg::PrepareBatch`]
     /// entry, in the same order.
     VoteBatch {
@@ -323,14 +308,14 @@ pub enum Msg {
     /// same wire frame. The receiver processes each trailer first (no
     /// individual replies), then dispatches `msg` as usual. A reply may
     /// itself be `WithTrailers` carrying the values some trailers produce
-    /// (e.g. [`Msg::TxnId`] for a piggybacked [`Msg::BeginGlobal`]), in
+    /// ([`Msg::TxnId`] for a piggybacked [`Msg::BeginGlobal`]), in
     /// trailer order. Deduplicated retries replay only the inner reply:
     /// trailers are ephemeral control traffic and are never replayed.
     WithTrailers {
         /// The primary message.
         msg: Box<Msg>,
-        /// Piggybacked control messages (lease renewals, deferred lock
-        /// releases, id prefetches, batched decides, ...).
+        /// Piggybacked control messages (begin notices, deferred lock
+        /// releases, id prefetches).
         trailers: Vec<Msg>,
     },
 }
@@ -591,7 +576,10 @@ impl Msg {
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
         match self {
-            Msg::BeginTxn => b.push(0),
+            Msg::BeginTxn { txn } => {
+                b.push(0);
+                put_u64(&mut b, *txn);
+            }
             Msg::FetchPage { page, mode } => {
                 b.push(1);
                 put_u32(&mut b, page.area);
@@ -616,7 +604,10 @@ impl Msg {
                     put_name(&mut b, n);
                 }
             }
-            Msg::ReleaseAll => b.push(5),
+            Msg::ReleaseAll { txn } => {
+                b.push(5);
+                put_u64(&mut b, *txn);
+            }
             Msg::AllocSegment { area, pages } => {
                 b.push(6);
                 put_u32(&mut b, *area);
@@ -666,11 +657,6 @@ impl Msg {
                 b.push(11);
                 put_u64(&mut b, *txn);
             }
-            Msg::ShipUpdates { gtxn, updates } => {
-                b.push(12);
-                put_u64(&mut b, *gtxn);
-                put_updates(&mut b, updates);
-            }
             Msg::CommitGlobal {
                 gtxn,
                 participants,
@@ -693,16 +679,6 @@ impl Msg {
                     put_u32(&mut b, *p);
                     put_updates(&mut b, updates);
                 }
-            }
-            Msg::Prepare {
-                gtxn,
-                locker,
-                release_locks,
-            } => {
-                b.push(14);
-                put_u64(&mut b, *gtxn);
-                put_u32(&mut b, *locker);
-                b.push(u8::from(*release_locks));
             }
             Msg::Decide { gtxn, commit } => {
                 b.push(15);
@@ -757,8 +733,6 @@ impl Msg {
             }
             Msg::CallbackReleased => b.push(28),
             Msg::CallbackDeferred => b.push(29),
-            Msg::VoteYes => b.push(30),
-            Msg::VoteNo => b.push(31),
             Msg::Decision { committed } => {
                 b.push(32);
                 b.push(u8::from(*committed));
@@ -766,10 +740,9 @@ impl Msg {
             Msg::Unknown => b.push(33),
             Msg::Heartbeat => b.push(34),
             Msg::DecisionPending => b.push(35),
-            Msg::VoteReadOnly => b.push(36),
             Msg::PrepareBatch { items } => {
                 b.push(37);
-                // LINT: allow(cast) — a batch is capped by TwoPcConfig::max_batch.
+                // LINT: allow(cast) — a batch is capped by the coordinator's PREP_MAX_BATCH.
                 put_u32(&mut b, items.len() as u32);
                 for item in items {
                     put_prepare_item(&mut b, item);
@@ -786,7 +759,7 @@ impl Msg {
             }
             Msg::DecideBatch { decisions } => {
                 b.push(39);
-                // LINT: allow(cast) — a batch is capped by TwoPcConfig::max_batch.
+                // LINT: allow(cast) — one verdict per concurrent global transaction.
                 put_u32(&mut b, decisions.len() as u32);
                 for (gtxn, commit) in decisions {
                     put_u64(&mut b, *gtxn);
@@ -817,7 +790,7 @@ impl Msg {
         }
         let mut c = Cursor { buf, pos: 0 };
         let msg = match c.u8()? {
-            0 => Msg::BeginTxn,
+            0 => Msg::BeginTxn { txn: c.u64()? },
             1 => Msg::FetchPage {
                 page: c.page()?,
                 mode: c.mode()?,
@@ -835,7 +808,7 @@ impl Msg {
                 }
                 Msg::ReleaseCached { names }
             }
-            5 => Msg::ReleaseAll,
+            5 => Msg::ReleaseAll { txn: c.u64()? },
             6 => Msg::AllocSegment {
                 area: c.u32()?,
                 pages: c.u32()?,
@@ -863,10 +836,6 @@ impl Msg {
                 updates: c.updates()?,
             },
             11 => Msg::Abort { txn: c.u64()? },
-            12 => Msg::ShipUpdates {
-                gtxn: c.u64()?,
-                updates: c.updates()?,
-            },
             13 => {
                 let gtxn = c.u64()?;
                 let req = c.u64()?;
@@ -890,11 +859,6 @@ impl Msg {
                     branches,
                 }
             }
-            14 => Msg::Prepare {
-                gtxn: c.u64()?,
-                locker: c.u32()?,
-                release_locks: c.bool()?,
-            },
             15 => Msg::Decide {
                 gtxn: c.u64()?,
                 commit: c.bool()?,
@@ -920,15 +884,12 @@ impl Msg {
             27 => Msg::Bytes(c.bytes()?),
             28 => Msg::CallbackReleased,
             29 => Msg::CallbackDeferred,
-            30 => Msg::VoteYes,
-            31 => Msg::VoteNo,
             32 => Msg::Decision {
                 committed: c.bool()?,
             },
             33 => Msg::Unknown,
             34 => Msg::Heartbeat,
             35 => Msg::DecisionPending,
-            36 => Msg::VoteReadOnly,
             37 => {
                 let n = c.u32()? as usize;
                 let mut items = Vec::with_capacity(n.min(1024));
@@ -1021,7 +982,7 @@ mod tests {
             },
             vec![
                 Msg::BeginGlobal,
-                Msg::ReleaseAll,
+                Msg::ReleaseAll { txn: 7 },
                 Msg::DecideBatch {
                     decisions: vec![((100u64 << 32) | 4, true)],
                 },

@@ -17,7 +17,7 @@
 //! immediately and waiting (bounded by the deadlock timeout) for locks in
 //! use. Commits log physical byte-range updates, force the log, then apply
 //! the after-images to the storage areas. Distributed commits run
-//! presumed-abort 2PC with the client's first server as coordinator.
+//! presumed-commit 2PC with the client's first server as coordinator.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,36 +39,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::directory::Directory;
 use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote};
 use crate::scrub::{repair_page, IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
-
-/// Tuning for the distributed-commit fast path (presumed commit, batched
-/// phase fan-out).
-#[derive(Clone, Copy, Debug)]
-pub struct TwoPcConfig {
-    /// Most concurrent global transactions gathered into one
-    /// [`Msg::PrepareBatch`] wire frame per participant.
-    pub max_batch: usize,
-    /// How long a phase-1 leader holds the gather window open for
-    /// stragglers. `ZERO` (the default) still batches: while one leader's
-    /// frame is in flight, later rounds pile up behind it and the next
-    /// leader takes the whole queue — the same natural accumulation the
-    /// WAL's group commit exploits — without adding latency to an
-    /// uncontended round.
-    pub max_wait: Duration,
-    /// Pre-optimisation behaviour: serial phase-1 fan-out, acknowledged
-    /// per-transaction phase 2, no batching, read-only votes treated as
-    /// write participants. Kept as the A/B baseline for benchmarks.
-    pub compat_presumed_abort: bool,
-}
-
-impl Default for TwoPcConfig {
-    fn default() -> Self {
-        TwoPcConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-            compat_presumed_abort: false,
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -102,8 +72,6 @@ pub struct ServerConfig {
     /// [`ScrubConfig`]). [`BessServer::scrub_once`] works even when the
     /// background thread is disabled.
     pub scrub: ScrubConfig,
-    /// Distributed-commit tuning (presumed commit, batched fan-out).
-    pub two_pc: TwoPcConfig,
 }
 
 impl ServerConfig {
@@ -118,7 +86,6 @@ impl ServerConfig {
             media_error_threshold: 3,
             group_commit: GroupCommitConfig::default(),
             scrub: ScrubConfig::default(),
-            two_pc: TwoPcConfig::default(),
         }
     }
 }
@@ -127,7 +94,8 @@ impl ServerConfig {
 /// `server.` prefix of [`BessServer::metrics`].
 #[derive(Debug)]
 pub struct ServerStats {
-    /// Transactions begun (`server.txns`).
+    /// Transactions begun here: begin notices accepted, one per
+    /// transaction's first contact with this server (`server.txns`).
     pub txns: Counter,
     /// Local commits (`server.commits`).
     pub commits: Counter,
@@ -166,9 +134,12 @@ pub struct ServerStats {
     /// Retried requests answered from the dedup window instead of being
     /// re-executed (`server.dedup_hits`).
     pub dedup_hits: Counter,
-    /// New transactions rejected while draining
+    /// Transactions turned away at their first contact while draining
     /// (`server.drain_rejections`).
     pub drain_rejections: Counter,
+    /// `ReleaseAll`s ignored because a later transaction of the sender had
+    /// already begun here (`server.stale_releases`).
+    pub stale_releases: Counter,
     /// Mutating requests rejected while read-only
     /// (`server.read_only_rejections`).
     pub read_only_rejections: Counter,
@@ -220,6 +191,7 @@ impl ServerStats {
             txns_reaped: group.counter("txns_reaped"),
             dedup_hits: group.counter("dedup_hits"),
             drain_rejections: group.counter("drain_rejections"),
+            stale_releases: group.counter("stale_releases"),
             read_only_rejections: group.counter("read_only_rejections"),
             log_force_failures: group.counter("log_force_failures"),
             two_pc_readonly_votes: group.counter("2pc.readonly_votes"),
@@ -278,11 +250,11 @@ struct PreparedTxn {
 
 /// Per-participant phase-1 gather state. Concurrent coordinated rounds
 /// preparing at the same participant enqueue here; a dedicated pump
-/// thread (started lazily per participant) drains up to `max_batch`
-/// items into a single [`Msg::PrepareBatch`] frame and distributes the
-/// votes. While every pump for a participant has a frame in flight,
-/// later rounds pile up in the queue — the WAL group commit's
-/// accumulation pattern applied to 2PC messaging.
+/// thread (started lazily per participant) drains up to
+/// [`PREP_MAX_BATCH`] items into a single [`Msg::PrepareBatch`] frame
+/// and distributes the votes. While every pump for a participant has a
+/// frame in flight, later rounds pile up in the queue — the WAL group
+/// commit's accumulation pattern applied to 2PC messaging.
 #[derive(Default)]
 struct PrepSlot {
     queue: Vec<PrepareItem>,
@@ -296,6 +268,10 @@ struct PrepSlot {
 /// up whenever all frames are out) while cutting that queueing delay
 /// under concurrent coordinators.
 const PREP_PIPELINE: u32 = 4;
+
+/// Most concurrent global transactions gathered into one
+/// [`Msg::PrepareBatch`] frame per participant.
+const PREP_MAX_BATCH: usize = 16;
 
 /// Per-participant phase-2 outbox. Commit verdicts are one-way under
 /// presumed commit, so the only coordination needed is merging whatever
@@ -340,9 +316,9 @@ struct ServerInner {
     /// not read a mid-round "no decision yet" as "no record: presumed
     /// abort" and undo a branch the round is about to commit.
     coordinating: Mutex<std::collections::HashSet<GTxn>>,
-    /// Updates shipped ahead of 2PC, keyed by global transaction, tagged
-    /// with the shipping client node so the reaper can drop a dead
-    /// client's unprepared branches.
+    /// Branches staged for 2PC but not yet prepared, keyed by global
+    /// transaction, tagged with the committing client node so the reaper
+    /// can drop a dead client's unprepared branches.
     pending: Mutex<HashMap<GTxn, (u32, Vec<PageUpdate>)>>,
     prepared: Mutex<HashMap<GTxn, PreparedTxn>>,
     /// Phase-1 gather queues, one slot per participant node.
@@ -360,12 +336,19 @@ struct ServerInner {
     /// answer is processed, otherwise its covered-mode re-grant races the
     /// release and a lock can be silently lost.
     callbacks_in_flight: Mutex<std::collections::HashSet<(LockName, TxnId)>>,
+    /// Each node's current transaction here, as named by its latest begin
+    /// notice. A `ReleaseAll` naming any other transaction is stale (a
+    /// late idle-tick flush or a network duplicate) and is ignored; the
+    /// guard is held across the release so a begin notice cannot slip
+    /// between the check and the unlock.
+    node_txns: Mutex<HashMap<u32, u64>>,
     /// Last time each node was heard from. Never held across calls into
     /// the lock manager, the log, or the network.
     leases: OrderedMutex<HashMap<u32, Instant>>,
     /// The at-most-once window. Never held across request execution.
     dedup: OrderedMutex<DedupWindow>,
-    /// Drain mode: finish in-flight work, reject new transactions.
+    /// Drain mode: finish in-flight work, refuse a transaction's first
+    /// contact.
     draining: AtomicBool,
     /// Media-failure containment (read-only fallback), shared with the
     /// background scrubber so unrepairable corruption degrades the server
@@ -489,6 +472,7 @@ impl BessServer {
             self_ref: self_ref.clone(),
             decide_outboxes: Mutex::new(HashMap::new()),
             callbacks_in_flight: Mutex::new(std::collections::HashSet::new()),
+            node_txns: Mutex::new(HashMap::new()),
             leases: OrderedMutex::new(Rank::ServerLeases, "server.leases", HashMap::new()),
             dedup: OrderedMutex::new(
                 Rank::ServerDedup,
@@ -693,15 +677,16 @@ impl BessServer {
         self.inner.locks.held_by(TxnId(u64::from(node.0)))
     }
 
-    /// Global transactions with shipped-but-unprepared updates.
+    /// Global transactions with staged-but-unprepared updates.
     pub fn pending_gtxns(&self) -> Vec<GTxn> {
         let mut v: Vec<GTxn> = self.inner.pending.lock().keys().copied().collect();
         v.sort_unstable();
         v
     }
 
-    /// Enters or leaves drain mode: in-flight transactions complete, new
-    /// `BeginTxn`/`BeginGlobal` requests are rejected.
+    /// Enters or leaves drain mode: in-flight transactions complete, and
+    /// any request that is a transaction's first contact with this server
+    /// (it carries a [`Msg::BeginTxn`] notice) is refused.
     pub fn set_draining(&self, on: bool) {
         self.inner.draining.store(on, Ordering::Relaxed);
     }
@@ -871,49 +856,49 @@ impl ServerInner {
             if let Some(replayed) = self.dedup_begin(key) {
                 return replayed;
             }
-            let t_replies = self.run_trailers(from, trailers);
-            let reply = match self.check_degraded(&msg) {
-                Some(reject) => reject,
-                None => self.dispatch(from, msg),
-            };
-            self.dedup_finish(key, reply.clone());
-            return Msg::with_trailers(reply, t_replies);
         }
-
-        let t_replies = self.run_trailers(from, trailers);
-        let reply = match self.check_degraded(&msg) {
+        let (t_replies, refused) = self.run_trailers(from, trailers);
+        let reply = match refused.or_else(|| self.check_degraded(&msg)) {
             Some(reject) => reject,
             None => self.dispatch(from, msg),
         };
+        if let Some(key) = dedup_key {
+            self.dedup_finish(key, reply.clone());
+        }
         Msg::with_trailers(reply, t_replies)
     }
 
     /// Executes piggybacked trailers in frame order, before the carrier
     /// message. Only [`Msg::TxnId`] replies ride back (the id-prefetch
-    /// case); everything else a trailer produces — `Ok`s from lease
-    /// renewals and lock releases, degraded-mode rejections — is dropped,
+    /// case); everything else a trailer produces — `Ok`s from begin
+    /// notices and lock releases, degraded-mode rejections — is dropped,
     /// and the sender falls back to an explicit call when it needed the
-    /// answer.
-    fn run_trailers(&self, from: NodeId, trailers: Vec<Msg>) -> Vec<Msg> {
+    /// answer. The one exception is a refused begin notice: its refusal
+    /// is returned as the second value, and the caller refuses the
+    /// carrier with it, so a draining server turns the whole frame away.
+    fn run_trailers(&self, from: NodeId, trailers: Vec<Msg>) -> (Vec<Msg>, Option<Msg>) {
         let mut replies = Vec::new();
+        let mut refused = None;
         for t in trailers {
+            let begin = matches!(t, Msg::BeginTxn { .. });
             let r = match self.check_degraded(&t) {
                 Some(reject) => reject,
                 None => self.dispatch(from, t),
             };
-            if matches!(r, Msg::TxnId(_)) {
-                replies.push(r);
+            match r {
+                Msg::TxnId(_) => replies.push(r),
+                Msg::Err(_) if begin => refused = Some(r),
+                _ => {}
             }
         }
-        replies
+        (replies, refused)
     }
 
-    /// Rejects requests the server's degraded modes forbid: new
-    /// transactions while draining, mutations while read-only.
+    /// Rejects requests the server's degraded modes forbid: a
+    /// transaction's begin notice while draining, mutations while
+    /// read-only.
     fn check_degraded(&self, msg: &Msg) -> Option<Msg> {
-        if self.draining.load(Ordering::Relaxed)
-            && matches!(msg, Msg::BeginTxn | Msg::BeginGlobal)
-        {
+        if self.draining.load(Ordering::Relaxed) && matches!(msg, Msg::BeginTxn { .. }) {
             self.stats.drain_rejections.inc();
             return Some(Msg::Err("server draining: not accepting new transactions".into()));
         }
@@ -922,17 +907,12 @@ impl ServerInner {
                 Msg::WriteAt { .. }
                 | Msg::Commit { .. }
                 | Msg::CommitGlobal { .. }
-                | Msg::ShipUpdates { .. }
                 | Msg::AllocSegment { .. }
                 | Msg::FreeSegment { .. } => {
                     self.stats.read_only_rejections.inc();
                     return Some(Msg::Err(
                         "server read-only after repeated media errors".into(),
                     ));
-                }
-                Msg::Prepare { .. } => {
-                    self.stats.read_only_rejections.inc();
-                    return Some(Msg::VoteNo);
                 }
                 Msg::PrepareBatch { items } => {
                     self.stats.read_only_rejections.inc();
@@ -1051,6 +1031,8 @@ impl ServerInner {
         self.stats.txns_reaped.add(dropped.len() as u64);
         // Locks and callback copies are both grants to the client node;
         // one sweep releases them all and wakes any waiters.
+        let mut current = self.node_txns.lock();
+        current.remove(&node);
         self.locks.unlock_all(TxnId(u64::from(node)));
     }
 
@@ -1124,10 +1106,10 @@ impl ServerInner {
 
     fn dispatch(&self, from: NodeId, msg: Msg) -> Msg {
         match msg {
-            Msg::BeginTxn => {
+            Msg::BeginTxn { txn } => {
+                self.node_txns.lock().insert(from.0, txn);
                 self.stats.txns.inc();
-                let seq = self.next_txn.fetch_add(1, Ordering::Relaxed);
-                Msg::TxnId((u64::from(self.cfg.node.0) << 32) | seq)
+                Msg::Ok
             }
             Msg::Heartbeat => Msg::Ok,
             Msg::BeginGlobal => {
@@ -1157,8 +1139,14 @@ impl ServerInner {
                 }
                 Msg::Ok
             }
-            Msg::ReleaseAll => {
-                self.locks.unlock_all(TxnId(u64::from(from.0)));
+            Msg::ReleaseAll { txn } => {
+                let mut current = self.node_txns.lock();
+                if current.get(&from.0).is_none_or(|t| *t == txn) {
+                    current.remove(&from.0);
+                    self.locks.unlock_all(TxnId(u64::from(from.0)));
+                } else {
+                    self.stats.stale_releases.inc();
+                }
                 Msg::Ok
             }
             Msg::AllocSegment { area, pages } => match self.areas.get(area) {
@@ -1229,15 +1217,6 @@ impl ServerInner {
                 let _ = txn;
                 Msg::Ok
             }
-            Msg::ShipUpdates { gtxn, updates } => {
-                self.pending
-                    .lock()
-                    .entry(gtxn)
-                    .or_insert_with(|| (from.0, Vec::new()))
-                    .1
-                    .extend(updates);
-                Msg::Ok
-            }
             Msg::CommitGlobal {
                 gtxn,
                 participants,
@@ -1245,31 +1224,11 @@ impl ServerInner {
                 branches,
                 ..
             } => self.do_commit_global(from, gtxn, &participants, release_read_locks, branches),
-            Msg::Prepare {
-                gtxn,
-                locker,
-                release_locks,
-            } => match self.do_prepare(gtxn, locker, release_locks) {
-                Vote::Yes => Msg::VoteYes,
-                Vote::No => Msg::VoteNo,
-                Vote::ReadOnly => Msg::VoteReadOnly,
-            },
             Msg::PrepareBatch { items } => Msg::VoteBatch {
                 votes: items
                     .into_iter()
                     .map(|i| {
-                        // Stage the branch's piggybacked write set (if the
-                        // client shipped inside the commit frame) before
-                        // preparing, exactly as a standalone ShipUpdates
-                        // would have.
-                        if !i.updates.is_empty() {
-                            self.pending
-                                .lock()
-                                .entry(i.gtxn)
-                                .or_insert_with(|| (i.locker, Vec::new()))
-                                .1
-                                .extend(i.updates);
-                        }
+                        self.stage(i.gtxn, i.locker, i.updates);
                         (i.gtxn, self.do_prepare(i.gtxn, i.locker, i.release_locks))
                     })
                     .collect(),
@@ -1518,14 +1477,29 @@ impl ServerInner {
         Msg::Ok
     }
 
+    /// Stages a branch's write set for the coordinated round that prepares
+    /// it next; `locker` is the committing client node.
+    fn stage(&self, gtxn: GTxn, locker: u32, updates: Vec<PageUpdate>) {
+        if updates.is_empty() {
+            return;
+        }
+        self.pending
+            .lock()
+            .entry(gtxn)
+            .or_insert_with(|| (locker, Vec::new()))
+            .1
+            .extend(updates);
+    }
+
     /// 2PC phase 1 at a participant.
     ///
-    /// A participant with no shipped updates is **read-only** for this
+    /// A participant with no staged updates is **read-only** for this
     /// transaction: it has nothing to log, nothing to keep in doubt, and
     /// no stake in the outcome — it votes [`Vote::ReadOnly`], forgets the
-    /// transaction immediately, and drops out of phase 2. When the client
-    /// opted in (`release_locks`), its read locks on `locker`'s behalf are
-    /// released right here, saving the trailing `ReleaseAll` message.
+    /// transaction immediately, and drops out of phase 2. When asked
+    /// (`release_locks`, set for non-caching clients), its read locks on
+    /// `locker`'s behalf are released right here, saving the trailing
+    /// `ReleaseAll` message.
     fn do_prepare(&self, gtxn: GTxn, locker: u32, release_locks: bool) -> Vote {
         let (shipper, updates) = match self.pending.lock().remove(&gtxn) {
             Some((s, u)) => (Some(s), u),
@@ -1625,22 +1599,14 @@ impl ServerInner {
         // "no record" and presume abort on a branch this round commits.
         self.coordinating.lock().insert(gtxn);
         let locker = from.0;
-        let compat = self.cfg.two_pc.compat_presumed_abort;
 
-        // Write sets piggybacked on the commit frame: stage the
-        // coordinator's own branch exactly as a standalone `ShipUpdates`
-        // would; remote branches are forwarded inside each participant's
-        // phase-1 entry (or, in compat mode, shipped with an explicit
-        // call just before the serial prepare).
+        // The commit frame carries every write set: stage the
+        // coordinator's own branch here; remote branches are forwarded
+        // inside each participant's phase-1 entry.
         let mut remote_branches: HashMap<u32, Vec<PageUpdate>> = HashMap::new();
         for (p, updates) in branches {
             if p == self.cfg.node.0 {
-                self.pending
-                    .lock()
-                    .entry(gtxn)
-                    .or_insert_with(|| (locker, Vec::new()))
-                    .1
-                    .extend(updates);
+                self.stage(gtxn, locker, updates);
             } else {
                 remote_branches.entry(p).or_default().extend(updates);
             }
@@ -1648,91 +1614,40 @@ impl ServerInner {
 
         // Phase 1: issue every prepare before collecting any vote. Remote
         // participants go through the per-participant gather queue, so
-        // concurrent rounds share `PrepareBatch` frames; the local branch
+        // concurrent rounds share `PrepareBatch` frames — the pump threads
+        // fan the frames out concurrently — while the local branch
         // prepares on this thread.
-        let votes: Vec<Vote> = if compat {
-            // Baseline: serial fan-out, first No short-circuits, read-only
-            // votes counted as write participants.
-            let mut votes = Vec::new();
-            for &p in participants {
-                let v = if p == self.cfg.node.0 {
-                    self.do_prepare(gtxn, locker, false)
+        for &p in participants {
+            if p != self.cfg.node.0 {
+                self.enqueue_prepare(
+                    p,
+                    PrepareItem {
+                        gtxn,
+                        locker,
+                        release_locks: release_read_locks,
+                        updates: remote_branches.remove(&p).unwrap_or_default(),
+                    },
+                );
+            }
+        }
+        let votes: Vec<Vote> = participants
+            .iter()
+            .map(|&p| {
+                if p == self.cfg.node.0 {
+                    self.do_prepare(gtxn, locker, release_read_locks)
                 } else {
-                    // A branch the client piggybacked must reach the
-                    // participant before its prepare; compat mode has no
-                    // batched frame to carry it, so ship explicitly.
-                    let shipped = match remote_branches.remove(&p) {
-                        Some(updates) => matches!(
-                            self.caller.call(
-                                NodeId(p),
-                                Msg::ShipUpdates { gtxn, updates },
-                                self.cfg.rpc_timeout,
-                            ),
-                            Ok(Msg::Ok)
-                        ),
-                        None => true,
-                    };
-                    if !shipped {
-                        Vote::No
-                    } else {
-                        match self.caller.call(
-                            NodeId(p),
-                            Msg::Prepare {
-                                gtxn,
-                                locker,
-                                release_locks: false,
-                            },
-                            self.cfg.rpc_timeout,
-                        ) {
-                            Ok(Msg::VoteYes) | Ok(Msg::VoteReadOnly) => Vote::Yes,
-                            _ => Vote::No,
-                        }
-                    }
-                };
-                let no = v == Vote::No;
-                votes.push(if v == Vote::ReadOnly { Vote::Yes } else { v });
-                if no {
-                    break;
+                    self.await_vote(p, gtxn)
                 }
-            }
-            votes
-        } else {
-            // Queue every remote branch first — the participants' pump
-            // threads fan the frames out concurrently — then prepare the
-            // local branch on this thread while those are on the wire,
-            // and only then sit down to collect votes.
-            for &p in participants {
-                if p != self.cfg.node.0 {
-                    self.enqueue_prepare(
-                        p,
-                        PrepareItem {
-                            gtxn,
-                            locker,
-                            release_locks: release_read_locks,
-                            updates: remote_branches.remove(&p).unwrap_or_default(),
-                        },
-                    );
-                }
-            }
-            participants
-                .iter()
-                .map(|&p| {
-                    if p == self.cfg.node.0 {
-                        self.do_prepare(gtxn, locker, release_read_locks)
-                    } else {
-                        self.await_vote(p, gtxn)
-                    }
-                })
-                .collect()
-        };
+            })
+            .collect();
 
-        let all_yes = votes.len() == participants.len() && !votes.contains(&Vote::No);
+        let all_yes = !votes.contains(&Vote::No);
         // Write participants: everyone who voted Yes (and therefore holds
         // a prepared branch). Read-only voters already forgot the
         // transaction and are owed nothing.
         let write_parts: Vec<u32> = participants
             .iter()
-            .zip(votes.iter().chain(std::iter::repeat(&Vote::No)))
+            .zip(&votes)
             .filter(|(_, v)| **v == Vote::Yes)
             .map(|(p, _)| *p)
             .collect();
@@ -1773,31 +1688,28 @@ impl ServerInner {
         self.coordinating.lock().remove(&gtxn);
 
         // Phase 2.
-        if all_yes && !compat {
+        if all_yes {
             // Presumed commit: one-way verdicts, merged opportunistically
             // into `DecideBatch` frames. The `End` record (not forced)
             // closes the round so restart knows the sends happened; the
             // local branch applies before we reply, keeping the client's
             // read-your-writes view.
             for &p in &remote_writers {
-                self.send_decide(p, gtxn, true);
+                self.send_decide(p, gtxn);
             }
             self.log.append(gtxn, l, LogBody::End);
             if write_parts.contains(&self.cfg.node.0) {
                 self.decide(gtxn, true);
             }
         } else {
-            // Aborts (and the compat baseline) use acknowledged calls.
+            // Aborts use acknowledged calls.
             for &p in &write_parts {
                 if p == self.cfg.node.0 {
-                    self.decide(gtxn, all_yes);
+                    self.decide(gtxn, false);
                 } else {
                     let _ = self.caller.call(
                         NodeId(p),
-                        Msg::Decide {
-                            gtxn,
-                            commit: all_yes,
-                        },
+                        Msg::Decide { gtxn, commit: false },
                         self.cfg.rpc_timeout,
                     );
                 }
@@ -1824,10 +1736,7 @@ impl ServerInner {
     /// with [`Self::enqueue_prepare`]. A pump that dies or times out
     /// resolves to [`Vote::No`].
     fn await_vote(&self, p: u32, gtxn: GTxn) -> Vote {
-        let deadline = Instant::now()
-            + self.cfg.rpc_timeout
-            + self.cfg.two_pc.max_wait
-            + self.cfg.rpc_timeout;
+        let deadline = Instant::now() + self.cfg.rpc_timeout + self.cfg.rpc_timeout;
         let mut slots = self.prep_slots.lock();
         loop {
             if let Some(v) = slots.entry(p).or_default().votes.remove(&gtxn) {
@@ -1864,14 +1773,12 @@ impl ServerInner {
     }
 
     /// One phase-1 pump: gathers queued prepares for participant `p` into
-    /// [`Msg::PrepareBatch`] frames (optionally holding a `max_wait`
-    /// gather window), sends each frame outside the lock, and distributes
-    /// the votes; committers wake on the condvar. With `max_wait == 0`
-    /// batching still happens whenever every pump's frame is in flight —
-    /// later rounds pile up behind them and the next free pump takes the
-    /// whole queue at once.
+    /// [`Msg::PrepareBatch`] frames, sends each frame outside the lock,
+    /// and distributes the votes; committers wake on the condvar. There
+    /// is no gather window: batching happens whenever every pump's frame
+    /// is in flight — later rounds pile up behind them and the next free
+    /// pump takes the whole queue at once.
     fn prep_pump(&self, p: u32) {
-        let two_pc = self.cfg.two_pc;
         loop {
             let batch: Vec<PrepareItem> = {
                 let mut slots = self.prep_slots.lock();
@@ -1887,23 +1794,8 @@ impl ServerInner {
                     self.prep_cv
                         .wait_for(&mut slots, Duration::from_millis(100));
                 }
-                if !two_pc.max_wait.is_zero() {
-                    // Optional gather window: hold the frame open for
-                    // stragglers until it fills or the window closes.
-                    let until = Instant::now() + two_pc.max_wait;
-                    loop {
-                        let n = slots.entry(p).or_default().queue.len();
-                        let now = Instant::now();
-                        if n >= two_pc.max_batch || now >= until {
-                            break;
-                        }
-                        // LINT: allow(blocking-under-lock) — condvar wait
-                        // releases the mutex while blocked.
-                        self.prep_cv.wait_for(&mut slots, until - now);
-                    }
-                }
                 let slot = slots.entry(p).or_default();
-                let take = slot.queue.len().min(two_pc.max_batch.max(1));
+                let take = slot.queue.len().min(PREP_MAX_BATCH);
                 slot.queue.drain(..take).collect()
             };
             if batch.is_empty() {
@@ -1940,11 +1832,11 @@ impl ServerInner {
     /// into its next `DecideBatch` frame; otherwise this thread drains the
     /// outbox itself. Unacknowledged by design — restart re-send and the
     /// participant reaper's `QueryDecision` cover losses.
-    fn send_decide(&self, p: u32, gtxn: GTxn, commit: bool) {
+    fn send_decide(&self, p: u32, gtxn: GTxn) {
         {
             let mut boxes = self.decide_outboxes.lock();
             let slot = boxes.entry(p).or_default();
-            slot.queue.push((gtxn, commit));
+            slot.queue.push((gtxn, true));
             if slot.sending {
                 return;
             }

@@ -83,8 +83,9 @@ fn branches_strategy() -> impl Strategy<Value = Vec<(u32, Vec<PageUpdate>)>> {
 fn leaf_msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
         Just(Msg::Heartbeat),
-        Just(Msg::ReleaseAll),
+        any::<u64>().prop_map(|txn| Msg::ReleaseAll { txn }),
         Just(Msg::BeginGlobal),
+        any::<u64>().prop_map(|txn| Msg::BeginTxn { txn }),
         any::<u64>().prop_map(Msg::TxnId),
         (any::<u64>(), any::<bool>()).prop_map(|(gtxn, commit)| Msg::Decide { gtxn, commit }),
     ]
@@ -93,13 +94,13 @@ fn leaf_msg_strategy() -> impl Strategy<Value = Msg> {
 fn msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
         // ---- client -> server requests --------------------------------
-        Just(Msg::BeginTxn),
+        any::<u64>().prop_map(|txn| Msg::BeginTxn { txn }),
         (page_strategy(), mode_strategy()).prop_map(|(page, mode)| Msg::FetchPage { page, mode }),
         page_strategy().prop_map(|page| Msg::ReadPage { page }),
         (name_strategy(), mode_strategy()).prop_map(|(name, mode)| Msg::Lock { name, mode }),
         prop::collection::vec(name_strategy(), 0..5)
             .prop_map(|names| Msg::ReleaseCached { names }),
-        Just(Msg::ReleaseAll),
+        any::<u64>().prop_map(|txn| Msg::ReleaseAll { txn }),
         (any::<u32>(), any::<u32>()).prop_map(|(area, pages)| Msg::AllocSegment { area, pages }),
         (any::<u32>(), any::<u64>(), any::<u32>())
             .prop_map(|(area, start_page, pages)| Msg::FreeSegment { area, start_page, pages }),
@@ -112,8 +113,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         any::<u64>().prop_map(|txn| Msg::Abort { txn }),
         Just(Msg::Heartbeat),
         // ---- two-phase commit ------------------------------------------
-        (any::<u64>(), updates_strategy())
-            .prop_map(|(gtxn, updates)| Msg::ShipUpdates { gtxn, updates }),
         (
             (any::<u64>(), prop::collection::vec(any::<u32>(), 0..5)),
             (any::<u64>(), any::<bool>(), branches_strategy())
@@ -127,8 +126,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
                     branches,
                 }
             }),
-        (any::<u64>(), any::<u32>(), any::<bool>())
-            .prop_map(|(gtxn, locker, release_locks)| Msg::Prepare { gtxn, locker, release_locks }),
         prop::collection::vec(prepare_item_strategy(), 0..5)
             .prop_map(|items| Msg::PrepareBatch { items }),
         prop::collection::vec((any::<u64>(), any::<bool>()), 0..5)
@@ -152,9 +149,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         bytes_strategy().prop_map(Msg::Bytes),
         Just(Msg::CallbackReleased),
         Just(Msg::CallbackDeferred),
-        Just(Msg::VoteYes),
-        Just(Msg::VoteNo),
-        Just(Msg::VoteReadOnly),
         prop::collection::vec((any::<u64>(), vote_strategy()), 0..5)
             .prop_map(|votes| Msg::VoteBatch { votes }),
         any::<bool>().prop_map(|committed| Msg::Decision { committed }),
@@ -192,10 +186,15 @@ proptest! {
 #[test]
 fn unknown_tag_is_rejected() {
     assert!(Msg::decode(&[200u8]).is_err());
+    // Retired tags (standalone ship, singleton prepare and its votes) stay
+    // unassigned.
+    for retired in [12u8, 14, 30, 31, 36] {
+        assert!(Msg::decode(&[retired]).is_err(), "tag {retired} decoded");
+    }
     assert_eq!(Msg::decode(&Msg::Heartbeat.encode()), Ok(Msg::Heartbeat));
     let wrapped = Msg::WithTrailers {
         msg: Box::new(Msg::DecisionPending),
-        trailers: vec![Msg::Heartbeat, Msg::ReleaseAll],
+        trailers: vec![Msg::Heartbeat, Msg::ReleaseAll { txn: 3 }],
     };
     assert_eq!(Msg::decode(&wrapped.encode()), Ok(wrapped));
 }

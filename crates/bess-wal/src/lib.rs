@@ -45,8 +45,8 @@ mod recovery;
 
 pub use enc::{checksum, DecodeError};
 pub use log::{
-    ForceHook, ForcePoint, GroupCommitConfig, LogIter, LogManager, WalError, WalResult, WalStats,
-    LOG_START,
+    ForceHook, ForcePoint, GroupCommitConfig, JoinHook, LogIter, LogManager, WalError, WalResult,
+    WalStats, LOG_START,
 };
 pub use lsn::Lsn;
 pub use record::{LogBody, LogPageId, LogRecord, TxnStatus};

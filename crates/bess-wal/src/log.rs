@@ -176,17 +176,12 @@ struct LogState {
 
 /// Tuning for the group-commit log force (DESIGN.md §13).
 ///
-/// With grouping enabled, concurrent [`LogManager::flush`] calls form a
-/// *commit group*: one leader performs a single `write` + `sync` for every
-/// member. `max_wait` optionally holds the leader back so late committers
-/// can pile in; `max_group_bytes` releases it early once the batch is big
-/// enough.
+/// Concurrent [`LogManager::flush`] calls form a *commit group*: one
+/// leader performs a single `write` + `sync` for every member. `max_wait`
+/// optionally holds the leader back so late committers can pile in;
+/// `max_group_bytes` releases it early once the batch is big enough.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// Grouping on/off. Off reproduces per-commit forcing — one
-    /// write + sync per `flush` call, serialized under the state lock —
-    /// kept as the E21 ablation baseline and as an escape hatch.
-    pub enabled: bool,
     /// A gathering leader forces immediately once the active buffer holds
     /// this many bytes.
     pub max_group_bytes: usize,
@@ -200,19 +195,8 @@ pub struct GroupCommitConfig {
 impl Default for GroupCommitConfig {
     fn default() -> Self {
         GroupCommitConfig {
-            enabled: true,
             max_group_bytes: 256 << 10,
             max_wait: Duration::ZERO,
-        }
-    }
-}
-
-impl GroupCommitConfig {
-    /// Per-commit forcing (no grouping); the E21 baseline.
-    pub fn disabled() -> Self {
-        GroupCommitConfig {
-            enabled: false,
-            ..GroupCommitConfig::default()
         }
     }
 }
@@ -228,12 +212,15 @@ struct GroupState {
     /// leader is still gathering — everything appended before the swap
     /// will be covered, so any waiter arriving in that window may join.
     force_upto: u64,
-    /// Completed forces, success or failure. A waiter snapshots this when
-    /// it joins a group and matches it against `failed` after wakeup.
+    /// Completed forces, success or failure. A follower snapshots this
+    /// when it joins a group and sleeps until it moves on.
     generation: u64,
     /// Generation and message of the most recent failed force. A failed
     /// sync must fail **every** member of its group — durability is never
-    /// acked on the strength of a force that did not finish.
+    /// acked on the strength of a force that did not finish. A member
+    /// reads this right after its generation completes. (Should another
+    /// whole force fail in between, the member misses its group's error
+    /// and simply forces again: it is never acked without a sync.)
     failed: Option<(u64, String)>,
     /// Flush calls riding the in-flight group, leader included.
     members: u64,
@@ -254,6 +241,11 @@ pub enum ForcePoint {
 
 /// A test hook called at [`ForcePoint`]s with no log locks held.
 pub type ForceHook = Box<dyn Fn(ForcePoint) + Send + Sync>;
+
+/// A test hook called each time a flush call joins an in-flight commit
+/// group as a follower, with no log locks held (see
+/// [`LogManager::set_join_hook`]).
+pub type JoinHook = Box<dyn Fn() + Send + Sync>;
 
 /// Counters kept by the log manager — [`bess_obs`] handles registered
 /// under the `wal.` prefix of [`LogManager::metrics`].
@@ -304,6 +296,11 @@ pub struct LogManager {
     gather_bytes: AtomicUsize,
     /// Crash-test seam: called at labelled force points, no locks held.
     force_hook: Mutex<Option<ForceHook>>,
+    /// Test seam: called when a follower joins a group, no locks held.
+    join_hook: Mutex<Option<JoinHook>>,
+    /// Whether `join_hook` is set, so an uninstrumented follower keeps
+    /// `gc` instead of dropping and retaking it around the hook.
+    join_hooked: AtomicBool,
     group: Group,
     stats: WalStats,
     append_ns: LatencyHistogram,
@@ -343,6 +340,8 @@ fn log_parts(
         gather_active: AtomicBool::new(false),
         gather_bytes: AtomicUsize::new(cfg.max_group_bytes),
         force_hook: Mutex::new(None),
+        join_hook: Mutex::new(None),
+        join_hooked: AtomicBool::new(false),
         group,
         stats,
         append_ns,
@@ -512,7 +511,7 @@ impl LogManager {
 
     /// Replaces the group-commit tuning. Normally set once at startup
     /// (servers and sessions plumb it from their own config structs);
-    /// switching modes is safe at any time, but takes effect per `flush`
+    /// changing it is safe at any time, but takes effect per `flush`
     /// call.
     pub fn set_group_commit(&self, cfg: GroupCommitConfig) {
         self.gather_bytes.store(cfg.max_group_bytes, Ordering::Relaxed);
@@ -530,6 +529,16 @@ impl LogManager {
     /// after sync but before waiters wake).
     pub fn set_force_hook(&self, hook: Option<ForceHook>) {
         *self.force_hook.lock() = hook;
+    }
+
+    /// Installs (or clears) a hook called each time a flush call joins an
+    /// in-flight group as a follower, with no log locks held. Tests use it
+    /// to know every member is in a group before its force completes,
+    /// without polling.
+    pub fn set_join_hook(&self, hook: Option<JoinHook>) {
+        let on = hook.is_some();
+        *self.join_hook.lock() = hook;
+        self.join_hooked.store(on, Ordering::Release);
     }
 
     fn at_force_point(&self, p: ForcePoint) {
@@ -589,9 +598,6 @@ impl LogManager {
     /// far" (`flush_all`), resolved under the same state acquisition as
     /// the first watermark check.
     fn force(&self, upto: Option<u64>) -> WalResult<()> {
-        if !self.group_commit().enabled {
-            return self.force_solo(upto);
-        }
         // Resolve the target and take the fast exit in one state
         // acquisition.
         let want = {
@@ -604,8 +610,6 @@ impl LogManager {
             }
             want
         };
-        // Generation of the in-flight group this call joined, if any.
-        let mut joined: Option<u64> = None;
         let mut counted_follower = false;
         loop {
             let mut g = self.gc.lock();
@@ -620,23 +624,45 @@ impl LogManager {
                 }
             }
             if g.force_in_progress {
-                // Follower. Ride the in-flight group if it covers this
-                // call's bytes (it always does when the leader is still
-                // gathering); otherwise just wait for the next round.
-                let in_group = want < g.force_upto;
-                if in_group && joined != Some(g.generation) {
-                    joined = Some(g.generation);
-                    g.members += 1;
-                    if !counted_follower {
-                        self.stats.group_followers.inc();
-                        counted_follower = true;
-                    }
+                if want >= g.force_upto {
+                    // The in-flight group does not cover this call's
+                    // bytes: wait for it to finish, then lead or join the
+                    // next round.
+                    // LINT: allow(blocking-under-lock) — condvar wait atomically releases `gc` via raw().
+                    self.group_cv.wait(g.raw());
+                    continue;
                 }
-                // LINT: allow(blocking-under-lock) — condvar wait atomically releases `gc` via raw().
-                self.group_cv.wait(g.raw());
-                // A failed force fails every member of its group.
-                if let (Some(mine), Some((gen, msg))) = (joined, g.failed.as_ref()) {
-                    if mine == *gen {
+                // Follower: ride the in-flight group (it always covers
+                // this call's bytes while the leader is still gathering)
+                // and share its outcome.
+                let mine = g.generation;
+                g.members += 1;
+                if !counted_follower {
+                    self.stats.group_followers.inc();
+                    counted_follower = true;
+                }
+                let mut g = if self.join_hooked.load(Ordering::Acquire) {
+                    drop(g);
+                    if let Some(h) = self.join_hook.lock().as_ref() {
+                        h();
+                    }
+                    self.gc.lock()
+                } else {
+                    g
+                };
+                // Sleep until this group completes. Early wakeups (an
+                // append waking a gathering leader shares this condvar)
+                // must not send a member back into the join-or-lead race:
+                // it could lead the retry of its own failed group and
+                // report success where the group failed.
+                while g.generation == mine {
+                    // LINT: allow(blocking-under-lock) — condvar wait atomically releases `gc` via raw().
+                    self.group_cv.wait(g.raw());
+                }
+                // A failed force fails every member of its group. After a
+                // success the watermark check at the top returns.
+                if let Some((gen, msg)) = &g.failed {
+                    if *gen == mine {
                         return Err(WalError::Io(std::io::Error::other(format!(
                             "group force failed: {msg}"
                         ))));
@@ -733,39 +759,6 @@ impl LogManager {
             self.group_cv.notify_all();
             return res;
         }
-    }
-
-    /// Per-commit forcing (group commit disabled): one write + sync per
-    /// call, with the state lock held across the I/O so appends wait.
-    fn force_solo(&self, upto: Option<u64>) -> WalResult<()> {
-        let mut state = self.state.lock();
-        let upto = upto.unwrap_or(state.next_lsn);
-        if upto < state.flushed_lsn || state.tail.is_empty() {
-            return Ok(());
-        }
-        let offset = state.flushed_lsn;
-        let tail = std::mem::take(&mut state.tail);
-        state.flushed_lsn = state.next_lsn;
-        let _timer = self.flush_ns.start();
-        // The E21 ablation baseline: solo forcing deliberately holds
-        // `state` across the device force so appends wait, measuring the
-        // cost of ungrouped commits.
-        if let Err(e) = self
-            .backend
-            // LINT: allow(blocking-under-lock) — E21 solo force, see above.
-            .write_at(&tail, offset)
-            // LINT: allow(blocking-under-lock) — E21 solo force, see above.
-            .and_then(|()| self.backend.sync())
-        {
-            // Nothing was acknowledged; restore the tail (no appends
-            // could interleave — the state lock is held) so a retry can
-            // still force these bytes.
-            state.flushed_lsn = offset;
-            state.tail = tail;
-            return Err(e);
-        }
-        self.stats.flushes.inc();
-        Ok(())
     }
 
     /// The LSN below which all records are durable.

@@ -12,7 +12,8 @@
 //!       a sync that failed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use bess_storage::{FaultDisk, FaultKind, FaultPlan, OpClass};
@@ -157,6 +158,10 @@ fn batched_commits_share_one_sync() {
 /// (c): a sync error during a group force fails every member of the
 /// group, leaves the watermark untouched, and the restored tail makes a
 /// retry force the same bytes successfully.
+///
+/// The group forms deterministically: the leader gathers until the tail
+/// crosses `max_group_bytes`, and the main thread crosses it only after
+/// the join hook reported every follower in the group.
 #[test]
 fn fault_during_group_force_fails_every_waiter() {
     const THREADS: u64 = 4;
@@ -166,14 +171,18 @@ fn fault_during_group_force_fails_every_waiter() {
     // is the workload's first sync and the durable baseline is LOG_START.
     log.set_master(Lsn::NULL).unwrap();
     // A long gather window holds the leader back so every thread joins
-    // one group; the main thread releases the group deterministically by
-    // pushing the tail past max_group_bytes once all followers are in.
+    // one group; the main thread releases the group by pushing the tail
+    // past max_group_bytes once all followers are in.
     const GROUP_BYTES: usize = 4096;
     log.set_group_commit(GroupCommitConfig {
-        enabled: true,
         max_group_bytes: GROUP_BYTES,
         max_wait: Duration::from_secs(10),
     });
+    let (joined_tx, joined_rx) = mpsc::channel::<()>();
+    let joined_tx = Mutex::new(joined_tx);
+    log.set_join_hook(Some(Box::new(move || {
+        joined_tx.lock().unwrap().send(()).unwrap();
+    })));
     // The very next device sync fails (single-shot).
     disk.arm(FaultPlan::armed(OpClass::Sync, 0, FaultKind::Eio));
 
@@ -192,12 +201,13 @@ fn fault_during_group_force_fails_every_waiter() {
         .collect();
     barrier.wait();
 
-    // Wait until one leader and three followers are committed to this
-    // group, then wake the gathering leader by crossing max_group_bytes.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while log.stats().group_followers.get() < THREADS - 1 {
-        assert!(Instant::now() < deadline, "followers never joined");
-        std::thread::sleep(Duration::from_millis(1));
+    // Every thread but the leader reports joining the gathering group;
+    // then wake the leader by crossing max_group_bytes. (The timeout only
+    // turns a hang into a failure.)
+    for _ in 1..THREADS {
+        joined_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("followers never joined");
     }
     log.append(99, Lsn::NULL, upd(99, GROUP_BYTES));
 
@@ -221,23 +231,35 @@ fn fault_during_group_force_fails_every_waiter() {
     assert_eq!(commits, THREADS);
 }
 
-/// Solo mode (group commit disabled) keeps the same no-spurious-ack
-/// contract: a failed sync restores the tail and the watermark.
+/// A group of one keeps the same no-spurious-ack contract: a failed sync
+/// restores the tail and the watermark, and a retry forces the same bytes.
 #[test]
-fn solo_mode_force_failure_is_retryable() {
+fn single_waiter_force_failure_is_retryable() {
     let disk = FaultDisk::new(FaultPlan::unarmed());
     let log = LogManager::create_faulty(Arc::clone(&disk)).unwrap();
-    log.set_group_commit(GroupCommitConfig::disabled());
+    log.set_master(Lsn::NULL).unwrap();
 
     let b = log.append(1, Lsn::NULL, LogBody::Begin);
     let c = log.append(1, b, LogBody::Commit);
+    let end = log.next_lsn();
     disk.arm(FaultPlan::armed(OpClass::Sync, 0, FaultKind::Eio));
     assert!(log.flush(c).is_err());
-    assert_eq!(log.flushed_lsn(), LOG_START);
+    assert_eq!(log.flushed_lsn(), LOG_START, "no spurious durability ack");
+    assert_eq!(log.next_lsn(), end, "the failed force lost no bytes");
+    assert_eq!(log.stats().flushes.get(), 0);
+    assert_eq!(disk.durable_image().len() as u64, LOG_START.0);
 
     log.flush(c).unwrap();
-    assert_eq!(log.flushed_lsn(), log.next_lsn());
-    assert_eq!(disk.durable_image().len() as u64, log.flushed_lsn().0);
+    assert_eq!(log.flushed_lsn(), end);
+    assert_eq!(log.stats().group_leaders.get(), 2);
+    assert_eq!(log.stats().group_followers.get(), 0);
+    assert_eq!(disk.durable_image().len() as u64, end.0);
+    // The retry forced the very records that failed, in order.
+    disk.crash();
+    disk.reopen(FaultPlan::unarmed());
+    let reopened = LogManager::open_faulty(disk).unwrap();
+    let bodies: Vec<LogBody> = reopened.iter().map(|r| r.body).collect();
+    assert_eq!(bodies, vec![LogBody::Begin, LogBody::Commit]);
 }
 
 /// Records of an in-flight group stay readable during the force: a reader
@@ -248,7 +270,6 @@ fn in_flight_group_records_stay_readable() {
     let disk = FaultDisk::new(FaultPlan::unarmed());
     let log = Arc::new(LogManager::create_faulty(Arc::clone(&disk)).unwrap());
     log.set_group_commit(GroupCommitConfig {
-        enabled: true,
         max_group_bytes: usize::MAX,
         max_wait: Duration::from_millis(200),
     });

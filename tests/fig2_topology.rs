@@ -120,11 +120,20 @@ fn figure2_all_three_archetypes_work() {
         .unwrap();
     assert!(topo.ns.stats().global_commits.get() >= 1, "ns ran 2PC");
 
-    // Every server saw its half.
+    // Every server saw its half. The coordinator applies its own branch
+    // before it answers; srv1's commit verdict is a one-way send
+    // (presumed commit), so its half may land just after the ack.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     for (i, p) in [(0usize, p0), (1usize, p1)] {
         let area = topo.servers[i].areas().get(p.area).unwrap();
         let mut buf = vec![0u8; area.page_size()];
-        area.read_page(p.page, &mut buf).unwrap();
+        loop {
+            area.read_page(p.page, &mut buf).unwrap();
+            if &buf[0..2] == b"n3" || std::time::Instant::now() > deadline {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         assert_eq!(&buf[0..2], b"n3");
     }
     // Both servers participated in prepares (node1's commit + app's).

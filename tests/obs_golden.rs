@@ -96,6 +96,7 @@ const SERVER_GOLDEN: &[&str] = &[
     "server.txns_reaped",
     "server.dedup_hits",
     "server.drain_rejections",
+    "server.stale_releases",
     "server.read_only_rejections",
     "server.log_force_failures",
     // Sublinear distributed commit (PR 10): presumed-commit 2PC,

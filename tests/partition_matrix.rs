@@ -1,22 +1,24 @@
 //! Deterministic network-fault matrix for the client–server layer — the
 //! wire-level twin of `tests/crash_matrix.rs`.
 //!
-//! A scripted client runs a fixed two-transaction workload against two
-//! BeSS servers (one distributed 2PC commit, one single-server commit).
-//! The harness first runs it clean to learn the exact outbound message
-//! count, then replays it with a [`NetFaultPlan`] armed at every message
-//! index × every fault kind: the request vanishes, is delayed, is
-//! duplicated, loses its reply, or the client's cable is pulled.
+//! A scripted client runs a fixed three-transaction workload against two
+//! BeSS servers, covering every commit shape the client has: a two-writer
+//! distributed 2PC commit, a 2PC commit with a read-only participant, and
+//! a single-server commit. The harness first runs it clean to learn the
+//! exact outbound message count, then replays it with a [`NetFaultPlan`]
+//! armed at every message index × every fault kind: the request vanishes,
+//! is delayed, is duplicated, loses its reply, or the client's cable is
+//! pulled.
 //!
 //! After every run the client is declared dead ([`BessServer::expire_lease`])
 //! and the failure-containment invariants are asserted:
 //!
 //! * no lock or callback copy is still owned by the dead client;
-//! * no shipped-but-unprepared update set survives it;
-//! * every prepared 2PC branch is resolved (presumed abort);
+//! * no staged-but-unprepared update set survives it;
+//! * every prepared 2PC branch is resolved;
 //! * the durable pages are atomic — the distributed transaction's two
 //!   writes land together or not at all — and byte-identical to the
-//!   clean-run oracle whenever the client observed both commits;
+//!   clean-run oracle whenever the client observed every commit;
 //! * a duplicated or reply-dropped commit executes **exactly once**
 //!   (request-id dedup), never twice;
 //! * a fresh client can immediately lock everything the dead one held.
@@ -30,11 +32,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bess_cache::{AreaSet, DbPage};
-use bess_lock::LockMode;
+use bess_lock::{LockMode, LockName};
 use bess_net::{NetFaultKind, NetFaultPlan, Network, NodeId};
 use bess_server::{
-    register_areas, BessServer, ClientConfig, ClientConn, ClientError, ClientOpts, ClientResult,
-    Directory, Msg, PageUpdate, RemoteSpace, ServerConfig, Vote,
+    register_areas, BessServer, ClientConfig, ClientConn, ClientError, ClientResult, Directory,
+    Msg, PageUpdate, RemoteSpace, ServerConfig, Vote,
 };
 use bess_storage::{AreaConfig, AreaId, StorageArea};
 use bess_wal::{LogBody, LogManager, Lsn};
@@ -44,27 +46,41 @@ const CHECKER: NodeId = NodeId(2);
 const SRV0: NodeId = NodeId(100);
 const SRV1: NodeId = NodeId(101);
 
-/// The scripted workload's outbound client messages, in order:
+/// The scripted workload's outbound client messages, in order. `[+x]`
+/// marks trailers riding the frame: a transaction's first frame to each
+/// server carries its begin notice, and a non-caching client's
+/// end-of-transaction `ReleaseAll` rides the next frame to that server.
 ///
-/// | idx | message                          | txn |
-/// |-----|----------------------------------|-----|
-/// | 0   | BeginTxn → srv0                  | A   |
-/// | 1   | FetchPage p0 (X) → srv0          | A   |
-/// | 2   | FetchPage p1 (X) → srv1          | A   |
-/// | 3   | BeginGlobal → srv0               | A   |
-/// | 4,5 | ShipUpdates → srv0, srv1         | A   |
-/// | 6   | CommitGlobal → srv0              | A   |
-/// | 7,8 | ReleaseAll → srv0, srv1          | A   |
-/// | 9   | BeginTxn → srv0                  | B   |
-/// | 10  | FetchPage p0 (X) → srv0          | B   |
-/// | 11  | Commit → srv0                    | B   |
-/// | 12  | ReleaseAll → srv0                | B   |
+/// | idx | message                                          | txn |
+/// |-----|--------------------------------------------------|-----|
+/// | 0   | FetchPage p0 (X) → srv0 [+BeginTxn]              | A   |
+/// | 1   | FetchPage p1 (X) → srv1 [+BeginTxn]              | A   |
+/// | 2   | BeginGlobal → srv0               (pool is empty) | A   |
+/// | 3   | CommitGlobal → srv0 [+BeginGlobal]               | A   |
+/// | 4   | FetchPage p0 (X) → srv0 [+ReleaseAll, +BeginTxn] | B   |
+/// | 5   | FetchPage p1 (S) → srv1 [+ReleaseAll, +BeginTxn] | B   |
+/// | 6   | CommitGlobal → srv0 [+BeginGlobal]               | B   |
+/// | 7   | FetchPage p2 (X) → srv0 [+ReleaseAll, +BeginTxn] | C   |
+/// | 8   | Commit → srv0                                    | C   |
+///
+/// Both write branches of A ride message 3; srv0 forwards srv1's inside
+/// its `PrepareBatch` and delivers the commit verdict one-way. B takes
+/// its global id from the pool that message 3's trailer refilled, so it
+/// needs no explicit `BeginGlobal`; srv1 — read-only in B — votes at
+/// phase 1, releases the client's locks and is owed no `ReleaseAll`. C
+/// takes the single-server fast path; its own `ReleaseAll` stays owed
+/// when the client dies.
 ///
 /// The control run asserts this count so a protocol change updates the
 /// targeted indices below instead of silently skewing the sweep.
-const WORKLOAD_MSGS: u64 = 13;
-const IDX_COMMIT_GLOBAL: u64 = 6;
-const IDX_COMMIT: u64 = 11;
+const WORKLOAD_MSGS: u64 = 9;
+/// The distributed-only prefix (A, B) stops after message 6: every commit
+/// is a 2PC round, and the client dies owing srv0 the `ReleaseAll` of a
+/// global transaction rather than of a single-server one.
+const DISTRIBUTED_MSGS: u64 = 7;
+const IDX_COMMIT_A: u64 = 3;
+const IDX_COMMIT_B: u64 = 6;
+const IDX_COMMIT_C: u64 = 8;
 
 struct Cluster {
     net: Arc<Network<Msg>>,
@@ -72,6 +88,7 @@ struct Cluster {
     servers: Vec<BessServer>,
     p0: DbPage,
     p1: DbPage,
+    p2: DbPage,
 }
 
 fn build() -> Cluster {
@@ -95,52 +112,80 @@ fn build() -> Cluster {
         let (s, _) = BessServer::start(cfg, set, LogManager::create_mem(), &net);
         servers.push(s);
     }
-    let p0 = {
-        let seg = servers[0].areas().get(0).unwrap().alloc(1).unwrap();
-        DbPage { area: 0, page: seg.start_page }
+    let page_on = |s: usize, area: u32| {
+        let seg = servers[s].areas().get(area).unwrap().alloc(1).unwrap();
+        DbPage { area, page: seg.start_page }
     };
-    let p1 = {
-        let seg = servers[1].areas().get(1).unwrap().alloc(1).unwrap();
-        DbPage { area: 1, page: seg.start_page }
-    };
-    Cluster { net, dir, servers, p0, p1 }
+    let (p0, p1, p2) = (page_on(0, 0), page_on(1, 1), page_on(0, 0));
+    Cluster { net, dir, servers, p0, p1, p2 }
 }
 
-fn connect(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
+fn config(node: NodeId, caching: bool) -> ClientConfig {
     let mut cfg = ClientConfig::new(node, SRV0);
-    cfg.caching = false;
-    // Short timeout so a faulted RPC resolves quickly; heartbeats pushed
-    // out of the way so the fault plan's message index stays deterministic
-    // (the dedicated lease tests below turn them back on).
+    cfg.caching = caching;
+    // Short timeout so a faulted RPC resolves quickly; heartbeats (and
+    // the idle flush of owed releases, which waits a heartbeat interval)
+    // pushed out of the way so the fault plan's message index stays
+    // deterministic (the dedicated lease tests below turn them back on).
     cfg.rpc_timeout = Duration::from_millis(200);
     cfg.heartbeat_interval = Duration::from_secs(60);
     cfg.retry_base = Duration::from_millis(1);
-    ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), cfg)
+    cfg
+}
+
+fn connect(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
+    ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), config(node, false))
 }
 
 fn upd(p: DbPage, before: &[u8], after: &[u8]) -> PageUpdate {
     PageUpdate { page: p, offset: 0, before: before.to_vec(), after: after.to_vec() }
 }
 
-/// Transaction A: a distributed commit writing `aa` to both pages.
-fn txn_a(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
+/// Transaction A: a two-writer distributed commit (`aa` to p0 and p1) —
+/// exercises the batched phase 1 and the one-way presumed-commit phase 2
+/// towards srv1.
+fn txn_a(c: &ClientConn, cl: &Cluster) -> ClientResult<()> {
     c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.fetch_page(p1, LockMode::X)?;
-    c.commit(vec![upd(p0, &[0; 2], b"aa"), upd(p1, &[0; 2], b"aa")])
+    c.fetch_page(cl.p0, LockMode::X)?;
+    c.fetch_page(cl.p1, LockMode::X)?;
+    c.commit(vec![upd(cl.p0, &[0; 2], b"aa"), upd(cl.p1, &[0; 2], b"aa")])
 }
 
-/// Transaction B: a single-server commit writing `bb` over p0.
-fn txn_b(c: &ClientConn, p0: DbPage) -> ClientResult<()> {
+/// Transaction B: reads p1, writes `bb` over p0 — srv1 is enrolled as a
+/// read-only participant, votes read-only, releases the client's locks at
+/// phase 1, and drops out of phase 2.
+fn txn_b(c: &ClientConn, cl: &Cluster) -> ClientResult<()> {
     c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.commit(vec![upd(p0, b"aa", b"bb")])
+    c.fetch_page(cl.p0, LockMode::X)?;
+    c.fetch_page(cl.p1, LockMode::S)?;
+    c.commit(vec![upd(cl.p0, b"aa", b"bb")])
 }
+
+/// Transaction C: a single-server commit writing `cc` to p2.
+fn txn_c(c: &ClientConn, cl: &Cluster) -> ClientResult<()> {
+    c.begin()?;
+    c.fetch_page(cl.p2, LockMode::X)?;
+    c.commit(vec![upd(cl.p2, &[0; 2], b"cc")])
+}
+
+type Txn = fn(&ClientConn, &Cluster) -> ClientResult<()>;
+
+/// A scripted workload: the transactions it runs, in order, and the
+/// outbound client message count its clean run must produce.
+#[derive(Clone, Copy)]
+struct Workload {
+    txns: &'static [Txn],
+    msgs: u64,
+}
+
+/// Every commit shape: A, B and C.
+const FULL: Workload = Workload { txns: &[txn_a, txn_b, txn_c], msgs: WORKLOAD_MSGS };
+/// Distributed commits only: A and B.
+const DISTRIBUTED: Workload = Workload { txns: &[txn_a, txn_b], msgs: DISTRIBUTED_MSGS };
 
 struct CaseResult {
-    /// The client observed transaction A (B) commit.
-    a_ok: bool,
-    b_ok: bool,
+    /// The client observed every transaction commit.
+    all_ok: bool,
     /// Client messages counted by the plan (meaningful in the control run
     /// only — once a plan fires it disarms and counts everyone).
     msgs: u64,
@@ -149,10 +194,13 @@ struct CaseResult {
     dedup_hits0: u64,
     /// `server.coordinated` at SRV0 after the case ran.
     coordinated0: u64,
+    /// `server.2pc.readonly_votes` at SRV1 after the case ran.
+    readonly_votes1: u64,
+    /// `server.2pc.oneway_decides` at SRV0 after the case ran.
+    oneway_decides0: u64,
     client_retries: u64,
-    /// Durable page images after reclamation.
-    d0: Vec<u8>,
-    d1: Vec<u8>,
+    /// Durable page images (p0, p1, p2) after reclamation.
+    durable: [Vec<u8>; 3],
 }
 
 fn read_page_bytes(srv: &BessServer, p: DbPage) -> Vec<u8> {
@@ -162,30 +210,35 @@ fn read_page_bytes(srv: &BessServer, p: DbPage) -> Vec<u8> {
     buf
 }
 
-/// Runs the scripted workload with `kind` armed at client message `at`,
-/// kills the client, reclaims it, and asserts every containment invariant.
+/// Runs the full workload with `kind` armed at client message `at`; see
+/// [`run_workload`].
 fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
+    run_workload(FULL, kind, at)
+}
+
+/// Runs `w` with `kind` armed at client message `at`, kills the client,
+/// reclaims it, and asserts every containment invariant.
+fn run_workload(w: Workload, kind: NetFaultKind, at: u64) -> CaseResult {
     let cluster = build();
-    let label = format!("{kind:?} at client message {at}");
+    let label = format!("{kind:?} at client message {at} of {} txns", w.txns.len());
     let plan = NetFaultPlan::armed_from(CLIENT, at, kind);
     cluster.net.arm(Arc::clone(&plan));
 
     let client = connect(&cluster, CLIENT);
-    let mut a_ok = false;
-    let mut b_ok = false;
-    let mut died = false;
-    match txn_a(&client, cluster.p0, cluster.p1) {
-        Ok(()) => a_ok = true,
-        // A transport failure the retry policy could not absorb: the
-        // client stops mid-protocol, exactly like a crashed process.
-        Err(ClientError::Net(_)) => died = true,
-        // A server-side abort (e.g. a lost ship aborted the global
-        // transaction); the client lives on.
-        Err(_) => {}
+    // Which transactions the client saw acknowledged.
+    let mut acked = [false; 3];
+    for (i, txn) in w.txns.iter().enumerate() {
+        match txn(&client, &cluster) {
+            Ok(()) => acked[i] = true,
+            // A transport failure the retry policy could not absorb: the
+            // client stops mid-protocol, exactly like a crashed process.
+            Err(ClientError::Net(_)) => break,
+            // A server-side abort (e.g. a lost prepare aborted the global
+            // transaction); the client lives on.
+            Err(_) => {}
+        }
     }
-    if !died && txn_b(&client, cluster.p0).is_ok() {
-        b_ok = true;
-    }
+    let all_ok = acked[..w.txns.len()].iter().all(|&a| a);
     let msgs = plan.msgs();
     let fired = plan.fired();
     let client_retries = client.stats().retries.get();
@@ -214,7 +267,7 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
         let pending = s.pending_gtxns();
         assert!(
             pending.is_empty(),
-            "[{label}] shipped updates survived reclamation at {}: {pending:?}",
+            "[{label}] staged updates survived reclamation at {}: {pending:?}",
             s.node()
         );
         let in_doubt = s.in_doubt();
@@ -228,26 +281,27 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
     // ---- durable atomicity ----------------------------------------------
     let d0 = read_page_bytes(&cluster.servers[0], cluster.p0);
     let d1 = read_page_bytes(&cluster.servers[1], cluster.p1);
+    let d2 = read_page_bytes(&cluster.servers[0], cluster.p2);
     let a_durable = &d1[0..2] == b"aa";
     let b_durable = &d0[0..2] == b"bb";
-    if a_durable {
+    let c_durable = &d2[0..2] == b"cc";
+    let a_half = if a_durable { b"aa" } else { &[0u8; 2] };
+    assert!(
+        &d0[0..2] == a_half || b_durable,
+        "[{label}] 2PC atomicity violated: p1 = {:?}, p0 = {:?}",
+        &d1[0..2],
+        &d0[0..2]
+    );
+    assert!(d1[0..2] == [0, 0] || a_durable, "[{label}] p1 = {:?}", &d1[0..2]);
+    assert!(d2[0..2] == [0, 0] || c_durable, "[{label}] p2 = {:?}", &d2[0..2]);
+    // Acknowledged => durable, for each transaction on its own, whatever
+    // happened to the ones after it.
+    let durable = [a_durable, b_durable, c_durable];
+    for (i, name) in ["A", "B", "C"].iter().enumerate() {
         assert!(
-            &d0[0..2] == b"aa" || &d0[0..2] == b"bb",
-            "[{label}] 2PC atomicity violated: p1 committed, p0 = {:?}",
-            &d0[0..2]
+            !acked[i] || durable[i],
+            "[{label}] txn {name} was acknowledged, but its update is lost"
         );
-    } else {
-        assert!(
-            d0[0..2] == [0, 0] || &d0[0..2] == b"bb",
-            "[{label}] 2PC atomicity violated: p1 aborted, p0 = {:?}",
-            &d0[0..2]
-        );
-    }
-    if a_ok {
-        assert!(a_durable, "[{label}] client saw global commit, updates lost");
-    }
-    if b_ok {
-        assert!(b_durable, "[{label}] client saw commit B, update lost");
     }
 
     // ---- exactly-once commits ------------------------------------------
@@ -258,7 +312,7 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
     let snap1 = cluster.servers[1].stats();
     assert_eq!(
         snap0.commits.get(),
-        u64::from(a_durable) + u64::from(b_durable),
+        u64::from(a_durable) + u64::from(b_durable) + u64::from(c_durable),
         "[{label}] commit applied more than once at {}",
         SRV0
     );
@@ -269,65 +323,78 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
         SRV1
     );
     assert!(
-        snap0.coordinated.get() <= 1,
-        "[{label}] global commit coordinated {} times",
+        snap0.coordinated.get() <= 2,
+        "[{label}] two global commits coordinated {} times",
         snap0.coordinated.get()
     );
 
     // ---- a fresh client inherits the world cleanly ----------------------
     let checker = connect(&cluster, CHECKER);
     checker.begin().unwrap();
-    checker
-        .fetch_page(cluster.p0, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p0: {e}"));
-    checker
-        .fetch_page(cluster.p1, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p1: {e}"));
+    for p in [cluster.p0, cluster.p1, cluster.p2] {
+        checker
+            .fetch_page(p, LockMode::X)
+            .unwrap_or_else(|e| panic!("[{label}] ghost lock on {p:?}: {e}"));
+    }
     checker.abort().unwrap();
     checker.disconnect();
 
-    let dedup_hits0 = snap0.dedup_hits.get();
-    let coordinated0 = snap0.coordinated.get();
-    CaseResult { a_ok, b_ok, msgs, fired, dedup_hits0, coordinated0, client_retries, d0, d1 }
+    CaseResult {
+        all_ok,
+        msgs,
+        fired,
+        dedup_hits0: snap0.dedup_hits.get(),
+        coordinated0: snap0.coordinated.get(),
+        readonly_votes1: snap1.two_pc_readonly_votes.get(),
+        oneway_decides0: snap0.two_pc_oneway_decides.get(),
+        client_retries,
+        durable: [d0, d1, d2],
+    }
 }
 
-/// Fault-free control: the workload commits both transactions, produces
-/// the oracle page images, and pins the message-index layout the targeted
-/// cases below rely on.
-fn control() -> CaseResult {
+/// Fault-free control: the workload commits every transaction, produces
+/// the oracle page images, pins the message-index layout the targeted
+/// cases below rely on, and proves each commit shape ran — two coordinated
+/// rounds, a read-only vote at srv1 (B) and a one-way decide from srv0 (A).
+fn control(w: Workload) -> CaseResult {
     // Armed far past the workload so the plan counts but never fires (and
     // keeps its from-filter for the whole run).
-    let r = run_case(NetFaultKind::Drop, u64::MAX);
+    let r = run_workload(w, NetFaultKind::Drop, u64::MAX);
     assert_eq!(r.fired, 0);
-    assert!(r.a_ok && r.b_ok, "clean run must commit both transactions");
-    assert_eq!(
-        r.msgs, WORKLOAD_MSGS,
-        "workload message layout changed; update the index table"
-    );
-    assert_eq!(&r.d0[0..2], b"bb");
-    assert_eq!(&r.d1[0..2], b"aa");
+    assert!(r.all_ok, "clean run must commit every transaction");
+    assert_eq!(r.msgs, w.msgs, "workload message layout changed; update the index table");
+    assert_eq!(&r.durable[0][0..2], b"bb");
+    assert_eq!(&r.durable[1][0..2], b"aa");
+    let p2: &[u8] = if w.txns.len() == 3 { b"cc" } else { &[0; 2] };
+    assert_eq!(&r.durable[2][0..2], p2);
+    assert_eq!(r.coordinated0, 2, "A and B each run one 2PC round");
+    assert_eq!(r.readonly_votes1, 1, "srv1 should vote read-only once (txn B)");
+    assert!(r.oneway_decides0 >= 1, "txn A's decide should be a one-way send");
     r
 }
 
-/// Sweeps `kind` over every client message index, comparing survivors
-/// against the oracle.
-fn sweep(kind: NetFaultKind) {
-    let oracle = control();
-    for at in 0..WORKLOAD_MSGS {
-        let r = run_case(kind, at);
+/// Sweeps `kind` over every client message index of `w`, comparing
+/// survivors against the oracle.
+fn sweep_workload(w: Workload, kind: NetFaultKind) {
+    let oracle = control(w);
+    for at in 0..w.msgs {
+        let r = run_workload(w, kind, at);
         assert_eq!(r.fired, 1, "{kind:?} at {at} never fired");
-        if r.a_ok && r.b_ok {
-            // Both commits observed: the durable image must be exactly the
+        if r.all_ok {
+            // Every commit observed: the durable image must be exactly the
             // clean run's, whatever the fault did on the way.
-            assert_eq!(r.d0, oracle.d0, "{kind:?} at {at} corrupted p0");
-            assert_eq!(r.d1, oracle.d1, "{kind:?} at {at} corrupted p1");
+            assert_eq!(r.durable, oracle.durable, "{kind:?} at {at} corrupted a page");
         }
     }
 }
 
+fn sweep(kind: NetFaultKind) {
+    sweep_workload(FULL, kind);
+}
+
 #[test]
 fn control_workload_is_clean() {
-    control();
+    control(FULL);
 }
 
 /// The cable-pull sweep: the client is partitioned at every message index
@@ -344,20 +411,19 @@ fn duplicate_at_every_message_index() {
     sweep(NetFaultKind::Duplicate);
 }
 
-/// A duplicated commit request is answered from the dedup window: the
-/// server executes it once and replays the recorded reply.
+/// A duplicated commit request — of each commit shape — is answered from
+/// the dedup window: the server executes it once and replays the recorded
+/// reply, and the frame's trailers do not run twice.
 #[test]
 fn duplicated_commit_applies_exactly_once() {
     // (`run_case` itself pins the commit counters to the durable state;
     // these cases additionally prove the dedup window was what saved us.)
-    let r = run_case(NetFaultKind::Duplicate, IDX_COMMIT);
-    assert!(r.a_ok && r.b_ok);
-    assert!(r.dedup_hits0 >= 1, "duplicate commit missed the dedup window");
-
-    let r = run_case(NetFaultKind::Duplicate, IDX_COMMIT_GLOBAL);
-    assert!(r.a_ok && r.b_ok);
-    assert_eq!(r.coordinated0, 1);
-    assert!(r.dedup_hits0 >= 1, "duplicate global commit missed the dedup window");
+    for idx in [IDX_COMMIT_A, IDX_COMMIT_B, IDX_COMMIT_C] {
+        let r = run_case(NetFaultKind::Duplicate, idx);
+        assert!(r.all_ok, "duplicate at {idx} broke the workload");
+        assert_eq!(r.coordinated0, 2, "duplicate at {idx} re-ran a 2PC round");
+        assert!(r.dedup_hits0 >= 1, "duplicate commit at {idx} missed the dedup window");
+    }
 }
 
 /// The classic "did my commit land?" ambiguity: the commit executes but
@@ -365,26 +431,23 @@ fn duplicated_commit_applies_exactly_once() {
 /// server answers from the dedup window instead of committing twice.
 #[test]
 fn lost_commit_reply_resolves_by_idempotent_retry() {
-    let r = run_case(NetFaultKind::DropReply, IDX_COMMIT);
-    assert!(r.b_ok, "retried commit should have been acknowledged");
-    assert!(r.dedup_hits0 >= 1);
-    assert!(r.client_retries >= 1);
-
-    let r = run_case(NetFaultKind::DropReply, IDX_COMMIT_GLOBAL);
-    assert!(r.a_ok, "retried global commit should have been acknowledged");
-    assert_eq!(r.coordinated0, 1, "reply-dropped global commit ran 2PC twice");
-    assert!(r.dedup_hits0 >= 1);
-    assert!(r.client_retries >= 1);
+    for idx in [IDX_COMMIT_A, IDX_COMMIT_B, IDX_COMMIT_C] {
+        let r = run_case(NetFaultKind::DropReply, idx);
+        assert!(r.all_ok, "retried commit at {idx} should have been acknowledged");
+        assert_eq!(r.coordinated0, 2, "reply-dropped commit at {idx} ran 2PC twice");
+        assert!(r.dedup_hits0 >= 1);
+        assert!(r.client_retries >= 1);
+    }
 }
 
 /// A vanished request is invisible end-to-end: the retry layer absorbs it
 /// (representative indices; the full sweep runs under `crash-tests`).
 #[test]
 fn dropped_request_is_absorbed_by_retry_representative() {
-    for at in [0, 1, IDX_COMMIT_GLOBAL, IDX_COMMIT] {
+    for at in [0, 1, IDX_COMMIT_A, IDX_COMMIT_C] {
         let r = run_case(NetFaultKind::Drop, at);
         assert_eq!(r.fired, 1);
-        assert!(r.a_ok && r.b_ok, "Drop at {at} was not absorbed");
+        assert!(r.all_ok, "Drop at {at} was not absorbed");
         assert!(r.client_retries >= 1);
     }
 }
@@ -408,270 +471,63 @@ fn delay_at_every_message_index_full() {
     sweep(NetFaultKind::Delay(Duration::from_millis(50)));
 }
 
-// ---- sublinear-commit opts: presumed commit, batching, piggybacking ---------
+// ---- the distributed-only workload ------------------------------------------
 //
-// The same fault matrix, replayed against a client running with every
-// message-saving opt enabled ([`ClientOpts::turbo`]): lazy local begin,
-// deferred lock release as trailers, prefetched global transaction ids,
-// every write branch riding the `CommitGlobal` frame (the coordinator
-// forwards remote branches inside their phase-1 `PrepareItem`s), and
-// read-only participants releasing locks at their phase-1 vote. The wire
-// layout is different — and much shorter — so it gets its own pinned
-// message table.
-//
-// | idx | message                                      | txn |
-// |-----|----------------------------------------------|-----|
-// | 0   | FetchPage p0 (X) → srv0                      | A   |
-// | 1   | FetchPage p1 (X) → srv1                      | A   |
-// | 2   | BeginGlobal → srv0           (pool is empty) | A   |
-// | 3   | CommitGlobal → srv0 [+branches, +prefetch]   | A   |
-// | 4   | FetchPage p0 (X) → srv0     [+ReleaseAll]    | B   |
-// | 5   | FetchPage p1 (S) → srv1     [+ReleaseAll]    | B   |
-// | 6   | CommitGlobal → srv0 [+branches, +prefetch]   | B   |
-//
-// No `BeginTxn`, no standalone `ReleaseAll`, no `ShipUpdates` at all
-// (txn A's remote branch travels inside the `CommitGlobal` frame and is
-// forwarded with srv1's `Prepare`), no second `BeginGlobal` (prefetched
-// by the trailer on message 3), and srv1 — read-only in txn B — votes at
-// phase 1 and is never contacted again.
-const TURBO_WORKLOAD_MSGS: u64 = 7;
-const TURBO_IDX_COMMIT_A: u64 = 3;
-const TURBO_IDX_COMMIT_B: u64 = 6;
-
-fn connect_turbo(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
-    let mut cfg = ClientConfig::new(node, SRV0);
-    cfg.caching = false;
-    cfg.rpc_timeout = Duration::from_millis(200);
-    cfg.heartbeat_interval = Duration::from_secs(60);
-    cfg.retry_base = Duration::from_millis(1);
-    cfg.opts = ClientOpts::turbo();
-    ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), cfg)
-}
-
-/// Turbo transaction A: a two-writer distributed commit (`aa` to both
-/// pages) — exercises the batched phase 1 and the one-way presumed-commit
-/// phase 2 towards srv1.
-fn txn_a_turbo(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
-    c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.fetch_page(p1, LockMode::X)?;
-    c.commit(vec![upd(p0, &[0; 2], b"aa"), upd(p1, &[0; 2], b"aa")])
-}
-
-/// Turbo transaction B: reads p1, writes p0 — srv1 is enrolled as a
-/// read-only participant, votes `VoteReadOnly`, releases the client's
-/// locks at phase 1, and drops out of phase 2.
-fn txn_b_turbo(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
-    c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.fetch_page(p1, LockMode::S)?;
-    c.commit(vec![upd(p0, b"aa", b"bb")])
-}
-
-struct TurboCaseResult {
-    a_ok: bool,
-    b_ok: bool,
-    msgs: u64,
-    fired: u64,
-    readonly_votes1: u64,
-    oneway_decides0: u64,
-    d0: Vec<u8>,
-    d1: Vec<u8>,
-}
-
-/// The turbo twin of [`run_case`]: same fault injection, same kill, same
-/// containment invariants, different (shorter) wire conversation.
-fn run_case_turbo(kind: NetFaultKind, at: u64) -> TurboCaseResult {
-    let cluster = build();
-    let label = format!("turbo {kind:?} at client message {at}");
-    let plan = NetFaultPlan::armed_from(CLIENT, at, kind);
-    cluster.net.arm(Arc::clone(&plan));
-
-    let client = connect_turbo(&cluster, CLIENT);
-    let mut a_ok = false;
-    let mut b_ok = false;
-    let mut died = false;
-    match txn_a_turbo(&client, cluster.p0, cluster.p1) {
-        Ok(()) => a_ok = true,
-        Err(ClientError::Net(_)) => died = true,
-        Err(_) => {}
-    }
-    if !died && txn_b_turbo(&client, cluster.p0, cluster.p1).is_ok() {
-        b_ok = true;
-    }
-    let msgs = plan.msgs();
-    let fired = plan.fired();
-
-    cluster.net.partition(CLIENT);
-    client.disconnect();
-    for s in &cluster.servers {
-        s.expire_lease(CLIENT);
-    }
-
-    for s in &cluster.servers {
-        assert!(!s.has_lease(CLIENT), "[{label}] dead client still leased at {}", s.node());
-        let leaked = s.locks_held_by(CLIENT);
-        assert!(
-            leaked.is_empty(),
-            "[{label}] dead client leaked locks at {}: {leaked:?}",
-            s.node()
-        );
-        let pending = s.pending_gtxns();
-        assert!(
-            pending.is_empty(),
-            "[{label}] shipped updates survived reclamation at {}: {pending:?}",
-            s.node()
-        );
-        let in_doubt = s.in_doubt();
-        assert!(
-            in_doubt.is_empty(),
-            "[{label}] unresolved prepared branches at {}: {in_doubt:?}",
-            s.node()
-        );
-    }
-
-    let d0 = read_page_bytes(&cluster.servers[0], cluster.p0);
-    let d1 = read_page_bytes(&cluster.servers[1], cluster.p1);
-    let a_durable = &d1[0..2] == b"aa";
-    if a_durable {
-        assert!(
-            &d0[0..2] == b"aa" || &d0[0..2] == b"bb",
-            "[{label}] 2PC atomicity violated: p1 committed, p0 = {:?}",
-            &d0[0..2]
-        );
-    } else {
-        assert!(
-            d0[0..2] == [0, 0],
-            "[{label}] 2PC atomicity violated: p1 aborted, p0 = {:?}",
-            &d0[0..2]
-        );
-    }
-    if a_ok {
-        assert!(a_durable, "[{label}] client saw global commit, updates lost");
-    }
-    if b_ok {
-        assert!(&d0[0..2] == b"bb", "[{label}] client saw commit B, update lost");
-    }
-
-    // Exactly-once, even with one-way decides and replayed trailers: each
-    // server's commit count is pinned by what is durably on disk.
-    let b_durable = &d0[0..2] == b"bb";
-    let snap0 = cluster.servers[0].stats();
-    let snap1 = cluster.servers[1].stats();
-    assert_eq!(
-        snap0.commits.get(),
-        u64::from(a_durable) + u64::from(b_durable),
-        "[{label}] commit applied more than once at {}",
-        SRV0
-    );
-    assert_eq!(
-        snap1.commits.get(),
-        u64::from(a_durable),
-        "[{label}] commit applied more than once at {}",
-        SRV1
-    );
-
-    let checker = connect(&cluster, CHECKER);
-    checker.begin().unwrap();
-    checker
-        .fetch_page(cluster.p0, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p0: {e}"));
-    checker
-        .fetch_page(cluster.p1, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p1: {e}"));
-    checker.abort().unwrap();
-    checker.disconnect();
-
-    TurboCaseResult {
-        a_ok,
-        b_ok,
-        msgs,
-        fired,
-        readonly_votes1: snap1.two_pc_readonly_votes.get(),
-        oneway_decides0: snap0.two_pc_oneway_decides.get(),
-        d0,
-        d1,
-    }
-}
-
-/// Fault-free turbo control: pins the opt-in message layout (8 messages
-/// against the default path's 13) and proves the new machinery actually
-/// ran — a read-only vote at srv1, a one-way decide from srv0.
-fn control_turbo() -> TurboCaseResult {
-    let r = run_case_turbo(NetFaultKind::Drop, u64::MAX);
-    assert_eq!(r.fired, 0);
-    assert!(r.a_ok && r.b_ok, "clean turbo run must commit both transactions");
-    assert_eq!(
-        r.msgs, TURBO_WORKLOAD_MSGS,
-        "turbo workload message layout changed; update the index table"
-    );
-    assert_eq!(&r.d0[0..2], b"bb");
-    assert_eq!(&r.d1[0..2], b"aa");
-    assert_eq!(r.readonly_votes1, 1, "srv1 should vote read-only once (txn B), got {}", r.readonly_votes1);
-    assert!(r.oneway_decides0 >= 1, "txn A's decide should be a one-way send");
-    r
-}
-
-/// Sweeps `kind` over every turbo client message index.
-fn sweep_turbo(kind: NetFaultKind) {
-    let oracle = control_turbo();
-    for at in 0..TURBO_WORKLOAD_MSGS {
-        let r = run_case_turbo(kind, at);
-        assert_eq!(r.fired, 1, "turbo {kind:?} at {at} never fired");
-        if r.a_ok && r.b_ok {
-            assert_eq!(r.d0, oracle.d0, "turbo {kind:?} at {at} corrupted p0");
-            assert_eq!(r.d1, oracle.d1, "turbo {kind:?} at {at} corrupted p1");
-        }
-    }
-}
+// The `turbo_` cases replay the matrix against the workload's first two
+// transactions (messages 0–6 of the table above): every commit is a
+// batched 2PC round with one-way decides and piggybacked trailers, and the
+// fault or kill lands with the client still owing srv0 the `ReleaseAll`
+// of a global transaction — state the full workload's trailing
+// single-server commit would otherwise flush.
 
 #[test]
 fn turbo_control_workload_is_clean() {
-    control_turbo();
+    control(DISTRIBUTED);
 }
 
 #[test]
 fn turbo_disconnect_at_every_message_index() {
-    sweep_turbo(NetFaultKind::Disconnect);
+    sweep_workload(DISTRIBUTED, NetFaultKind::Disconnect);
 }
 
 #[test]
 fn turbo_duplicate_at_every_message_index() {
-    sweep_turbo(NetFaultKind::Duplicate);
-}
-
-/// A duplicated or reply-dropped `CommitGlobal` frame must not re-run its
-/// trailers: the piggybacked `ShipUpdates` and `BeginGlobal` ride the
-/// dedup window with their carrier, so the round commits exactly once.
-#[test]
-fn turbo_duplicated_and_retried_commits_apply_exactly_once() {
-    for idx in [TURBO_IDX_COMMIT_A, TURBO_IDX_COMMIT_B] {
-        let r = run_case_turbo(NetFaultKind::Duplicate, idx);
-        assert!(r.a_ok && r.b_ok, "duplicate at {idx} broke the workload");
-        let r = run_case_turbo(NetFaultKind::DropReply, idx);
-        assert!(
-            r.a_ok && r.b_ok,
-            "reply-dropped commit at {idx} was not resolved by retry"
-        );
-    }
+    sweep_workload(DISTRIBUTED, NetFaultKind::Duplicate);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_drop_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::Drop);
+    sweep_workload(DISTRIBUTED, NetFaultKind::Drop);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_drop_reply_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::DropReply);
+    sweep_workload(DISTRIBUTED, NetFaultKind::DropReply);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_delay_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::Delay(Duration::from_millis(50)));
+    sweep_workload(DISTRIBUTED, NetFaultKind::Delay(Duration::from_millis(50)));
+}
+
+/// A duplicated or reply-dropped `CommitGlobal` frame must not re-run its
+/// trailers: the forwarded write branches and the `BeginGlobal` prefetch
+/// ride the dedup window with their carrier, so each round commits once.
+#[test]
+fn turbo_duplicated_and_retried_commits_apply_exactly_once() {
+    for idx in [IDX_COMMIT_A, IDX_COMMIT_B] {
+        let r = run_workload(DISTRIBUTED, NetFaultKind::Duplicate, idx);
+        assert!(r.all_ok, "duplicate at {idx} broke the workload");
+        assert_eq!(r.coordinated0, 2, "duplicate at {idx} re-ran a 2PC round");
+        assert!(r.dedup_hits0 >= 1, "duplicate commit at {idx} missed the dedup window");
+        let r = run_workload(DISTRIBUTED, NetFaultKind::DropReply, idx);
+        assert!(r.all_ok, "reply-dropped commit at {idx} was not resolved by retry");
+        assert_eq!(r.coordinated0, 2, "reply-dropped commit at {idx} ran 2PC twice");
+        assert!(r.client_retries >= 1);
+    }
 }
 
 // ---- presumed commit: the one-way decide can vanish -------------------------
@@ -688,8 +544,8 @@ fn dropped_oneway_decide_resolves_via_decision_query() {
     let plan = NetFaultPlan::armed_from(SRV0, 1, NetFaultKind::Drop);
     cluster.net.arm(Arc::clone(&plan));
 
-    let client = connect_turbo(&cluster, CLIENT);
-    txn_a_turbo(&client, cluster.p0, cluster.p1).expect("commit must succeed");
+    let client = connect(&cluster, CLIENT);
+    txn_a(&client, &cluster).expect("commit must succeed");
     assert_eq!(plan.fired(), 1, "the decide send was not faulted");
 
     // The client was told "committed" (the coordinator's decision is
@@ -840,24 +696,85 @@ fn dead_lock_holder_is_reclaimed_for_the_next_client() {
 
 // ---- graceful degradation -------------------------------------------------
 
-/// Drain mode: in-flight transactions finish, new ones are turned away.
+/// Drain mode: a draining server refuses any request that is a
+/// transaction's first contact with it, and serves every later request of
+/// a transaction already in flight there. A non-caching client's first
+/// contact is its first fetch.
 #[test]
 fn draining_server_finishes_old_work_and_rejects_new() {
     let cluster = build();
     let client = connect(&cluster, CLIENT);
+    let rejections = || cluster.servers[0].stats().drain_rejections.get();
     client.begin().unwrap();
     client.fetch_page(cluster.p0, LockMode::X).unwrap();
 
     cluster.servers[0].set_draining(true);
-    // The in-flight transaction runs to completion...
-    client.commit(vec![upd(cluster.p0, &[0; 2], b"dd")]).unwrap();
-    // ...but a new one is rejected.
-    assert!(matches!(client.begin(), Err(ClientError::Server(_))));
-    assert!(cluster.servers[0].stats().drain_rejections.get() >= 1);
+    // The in-flight transaction runs to completion, new contacts included...
+    client.fetch_page(cluster.p2, LockMode::X).unwrap();
+    client
+        .commit(vec![upd(cluster.p0, &[0; 2], b"dd"), upd(cluster.p2, &[0; 2], b"dd")])
+        .unwrap();
+    assert_eq!(rejections(), 0);
+    // ...but a new one is turned away at its first request, and stays
+    // turned away: a retry or a fetch of another page is still a first
+    // contact, because the refused one never admitted the transaction.
+    client.begin().unwrap();
+    for p in [cluster.p0, cluster.p0, cluster.p2] {
+        assert!(matches!(client.fetch_page(p, LockMode::S), Err(ClientError::Server(_))));
+    }
+    assert_eq!(rejections(), 3);
+    client.abort().unwrap();
 
     cluster.servers[0].set_draining(false);
     client.begin().unwrap();
+    client.fetch_page(cluster.p0, LockMode::S).unwrap();
     client.abort().unwrap();
+    client.disconnect();
+}
+
+/// Drain mode against a caching client whose reads all hit its lock
+/// cache: the transaction's first contact with the server is its commit,
+/// and that commit is refused. An in-flight transaction still commits.
+#[test]
+fn draining_server_refuses_a_caching_clients_first_contact_commit() {
+    let cluster = build();
+    let client =
+        ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), config(CLIENT, true));
+    let rejections = || cluster.servers[0].stats().drain_rejections.get();
+    let page_lock = |p: DbPage| LockName::Page { area: p.area, page: p.page };
+    // Warm the lock cache: X on p0 stays cached after this commit.
+    client.begin().unwrap();
+    client.fetch_page(cluster.p0, LockMode::X).unwrap();
+    client.commit(vec![upd(cluster.p0, &[0; 2], b"c1")]).unwrap();
+
+    // In flight when the drain starts: its first contact was the fetch.
+    client.begin().unwrap();
+    client.fetch_page(cluster.p2, LockMode::X).unwrap();
+    cluster.servers[0].set_draining(true);
+    client.lock(page_lock(cluster.p0), LockMode::X).unwrap();
+    client
+        .commit(vec![upd(cluster.p0, b"c1", b"c2"), upd(cluster.p2, &[0; 2], b"c2")])
+        .unwrap();
+    assert_eq!(rejections(), 0);
+
+    // A new transaction served entirely from the lock cache: no message
+    // until the commit, which is its first contact and is refused.
+    let hits = client.stats().lock_cache_hits.get();
+    client.begin().unwrap();
+    client.lock(page_lock(cluster.p0), LockMode::X).unwrap();
+    assert_eq!(client.stats().lock_cache_hits.get(), hits + 1);
+    assert!(matches!(
+        client.commit(vec![upd(cluster.p0, b"c2", b"c3")]),
+        Err(ClientError::Server(_))
+    ));
+    assert_eq!(rejections(), 1);
+    assert_eq!(&read_page_bytes(&cluster.servers[0], cluster.p0)[0..2], b"c2");
+
+    cluster.servers[0].set_draining(false);
+    client.begin().unwrap();
+    client.lock(page_lock(cluster.p0), LockMode::X).unwrap();
+    client.commit(vec![upd(cluster.p0, b"c2", b"c3")]).unwrap();
+    assert_eq!(&read_page_bytes(&cluster.servers[0], cluster.p0)[0..2], b"c3");
     client.disconnect();
 }
 
@@ -910,27 +827,18 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
 
     // A third participant that votes yes only after a long think, pinning
     // the coordinator's round mid-phase-1 for a deterministic window. It
-    // must answer both the batched phase-1 form (the default) and the
-    // legacy singleton, and survive the one-way presumed-commit decide.
+    // survives the one-way presumed-commit decide.
     let stall_ep = cluster.net.register(STALL);
     let stall = std::thread::spawn(move || loop {
         let Ok(env) = stall_ep.recv(Duration::from_secs(5)) else {
             return;
         };
         match &env.msg {
-            Msg::Prepare { .. } => {
-                std::thread::sleep(Duration::from_millis(400));
-                env.reply(Msg::VoteYes);
-            }
             Msg::PrepareBatch { items } => {
                 let votes: Vec<(u64, Vote)> =
                     items.iter().map(|i| (i.gtxn, Vote::Yes)).collect();
                 std::thread::sleep(Duration::from_millis(400));
                 env.reply(Msg::VoteBatch { votes });
-            }
-            Msg::Decide { .. } => {
-                env.reply(Msg::Ok);
-                return;
             }
             Msg::DecideBatch { .. } => {
                 return;
@@ -939,47 +847,40 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
         }
     });
 
-    // The doomed client ships srv1's branch, then "crashes".
-    let cl = cluster.net.register(CLIENT);
-    assert_eq!(
-        cl.call(
-            SRV1,
-            Msg::ShipUpdates { gtxn, updates: vec![upd(p1, &[0; 2], b"zz")] },
-            t
-        )
-        .unwrap(),
-        Msg::Ok
-    );
-
-    // The round runs from a separate driver; srv1 prepares first (votes
-    // yes), then the stalled participant holds phase 1 open.
-    let driver_net = Arc::clone(&cluster.net);
+    // The doomed client holds a lease at srv1, then asks the coordinator
+    // to commit a round whose srv1 branch rides the commit frame; srv0
+    // forwards it in srv1's phase-1 entry, so srv1 prepares first (votes
+    // yes) and the stalled participant holds phase 1 open.
+    let client_net = Arc::clone(&cluster.net);
     let driver = std::thread::spawn(move || {
-        let ep = driver_net.register(DRIVER);
-        ep.call(
+        let cl = client_net.register(CLIENT);
+        assert_eq!(cl.call(SRV1, Msg::Heartbeat, t).unwrap(), Msg::Ok);
+        cl.call(
             SRV0,
             Msg::CommitGlobal {
                 gtxn,
                 participants: vec![SRV1.0, STALL.0],
                 req: 0,
                 release_read_locks: false,
-                branches: vec![],
+                branches: vec![(SRV1.0, vec![upd(p1, &[0; 2], b"zz")])],
             },
             t,
         )
         .unwrap()
     });
+    let q = cluster.net.register(DRIVER);
 
     // Mid-round: srv1 is prepared, the coordinator has no decision yet.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
-        cl.call(SRV0, Msg::QueryDecision { gtxn }, t).unwrap(),
+        q.call(SRV0, Msg::QueryDecision { gtxn }, t).unwrap(),
         Msg::DecisionPending,
         "mid-round query must report the round as in progress"
     );
 
-    // The shipping client dies; srv1's reaper resolves its prepared branch
-    // right now (zero grace). It must be told "retry later", not abort.
+    // The committing client dies; srv1's reaper resolves its prepared
+    // branch right now (zero grace). It must be told "retry later", not
+    // abort.
     cluster.servers[1].expire_lease(CLIENT);
     assert_eq!(
         cluster.servers[1].in_doubt(),
@@ -1014,7 +915,7 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
     // With the round over and the client dead, an unknown transaction is
     // still presumed abort — `DecisionPending` must not linger.
     assert_eq!(
-        cl.call(SRV0, Msg::QueryDecision { gtxn: gtxn + 1 }, t).unwrap(),
+        q.call(SRV0, Msg::QueryDecision { gtxn: gtxn + 1 }, t).unwrap(),
         Msg::Unknown
     );
 }
@@ -1060,10 +961,7 @@ fn degraded_mode_still_replays_recorded_commit_replies() {
     let cluster = build();
     let t = Duration::from_secs(2);
     let ep = cluster.net.register(NodeId(7));
-    let txn = match ep.call(SRV0, Msg::BeginTxn, t).unwrap() {
-        Msg::TxnId(txn) => txn,
-        other => panic!("bad reply {other:?}"),
-    };
+    let txn = (1 << 63) | (7 << 32) | 1;
     let commit = Msg::Commit {
         txn,
         updates: vec![upd(cluster.p0, &[0; 2], b"cc")],

@@ -122,7 +122,6 @@ fn main() {
     hot_path_latencies(r);
     e22_scenarios(r);
     e23_checksum_overhead(r);
-    e24_batched_io(r);
     e25_sublinear_2pc(r);
     let json = report.to_json();
     std::fs::write("BENCH_report.json", &json).expect("write BENCH_report.json");
@@ -1299,83 +1298,6 @@ fn e23_checksum_overhead(report: &mut JsonReport) {
     report.num("E23", "uncached.overhead_pct", raw_pct);
     report.num("E23", "budget_pct", 5.0);
     report.text("E23", "verdict", verdict);
-}
-
-fn e24_batched_io(report: &mut JsonReport) {
-    use bess_io::{MemDevice, SlowDevice};
-    use bess_storage::{AreaConfig, AreaId, StorageArea};
-
-    println!("## E24 — batched reads on a slow backend: one submission vs N serial waits (gate ≥ 2x)\n");
-    const BATCH: usize = 8;
-    const READ_DELAY: Duration = Duration::from_millis(2);
-
-    // An area on the latency-injecting proxy, with the thread-pool
-    // executor so the queue can overlap the injected per-read waits.
-    // The executor is chosen from the environment at queue construction,
-    // so pin it for the rig and restore the ambient choice after.
-    let ambient = std::env::var("BESS_IO_EXEC").ok();
-    std::env::set_var("BESS_IO_EXEC", "pool");
-    let dev = SlowDevice::new(
-        MemDevice::new(),
-        READ_DELAY,
-        Duration::ZERO,
-        Duration::ZERO,
-    );
-    let area = StorageArea::create_on_device(AreaId(0), AreaConfig::default(), dev).unwrap();
-    match ambient {
-        Some(v) => std::env::set_var("BESS_IO_EXEC", v),
-        None => std::env::remove_var("BESS_IO_EXEC"),
-    }
-
-    let mut pages = Vec::with_capacity(BATCH);
-    while pages.len() < BATCH {
-        let ptr = area.alloc(64).unwrap();
-        for p in 0..u64::from(ptr.pages) {
-            pages.push(ptr.start_page + p);
-        }
-    }
-    pages.truncate(BATCH);
-    let data = vec![7u8; area.page_size()];
-    for &p in &pages {
-        area.write_page(p, &data).unwrap();
-    }
-
-    // Best-of-three per shape: the delays dominate, so one clean
-    // observation of each is representative.
-    let sequential_ms = (0..3)
-        .map(|_| {
-            let mut buf = vec![0u8; area.page_size()];
-            let started = Instant::now();
-            for &p in &pages {
-                area.read_page(p, &mut buf).unwrap();
-            }
-            started.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::MAX, f64::min);
-    let batched_ms = (0..3)
-        .map(|_| {
-            let started = Instant::now();
-            for res in area.read_pages_batch(&pages) {
-                res.unwrap();
-            }
-            started.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::MAX, f64::min);
-
-    let speedup = sequential_ms / batched_ms;
-    let verdict = if speedup >= 2.0 { "pass" } else { "fail" };
-    println!("| shape | wall time |");
-    println!("|---|---|");
-    println!("| {BATCH} serial read_page ({}ms injected each) | {sequential_ms:.1}ms |", READ_DELAY.as_millis());
-    println!("| read_pages_batch of {BATCH} (pool executor) | {batched_ms:.1}ms |");
-    println!("\nspeedup {speedup:.1}x, gate 2x: {verdict}\n");
-
-    report.num("E24", "batch_size", BATCH as f64);
-    report.num("E24", "read_delay_ms", READ_DELAY.as_millis() as f64);
-    report.num("E24", "sequential.ms", sequential_ms);
-    report.num("E24", "batched.ms", batched_ms);
-    report.num("E24", "speedup", speedup);
-    report.text("E24", "verdict", verdict);
 }
 
 fn hot_path_latencies(report: &mut JsonReport) {

@@ -64,8 +64,8 @@ impl PageIo for AreaSet {
     }
 
     fn load_batch(&self, pages: &[DbPage], _page_size: usize) -> Vec<Result<Vec<u8>, String>> {
-        // Group by area in first-appearance order and submit each group as
-        // one scatter-gather read; results scatter back to request order.
+        // Group by area in first-appearance order and read each group as
+        // one batch; results scatter back to request order.
         let mut out: Vec<Result<Vec<u8>, String>> = pages
             .iter()
             .map(|p| Err(format!("no storage area {}", p.area)))

@@ -33,10 +33,9 @@ pub trait PageIo: Send + Sync {
 
     /// Loads several pages in one call, returning each page's content (one
     /// `page_size`-byte buffer) or error in request order. Failures are
-    /// per-page. The default loops over [`PageIo::load`]; backends sitting
-    /// on a batched device (e.g. `AreaSet` over
-    /// `StorageArea::read_pages_batch`) override it to submit the whole
-    /// batch as one scatter-gather read.
+    /// per-page. The default loops over [`PageIo::load`]; backends with a
+    /// batch read (e.g. `AreaSet` over `StorageArea::read_pages_batch`)
+    /// override it to hand the whole batch to the area at once.
     fn load_batch(&self, pages: &[DbPage], page_size: usize) -> Vec<Result<Vec<u8>, String>> {
         pages
             .iter()

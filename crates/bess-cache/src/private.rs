@@ -238,8 +238,8 @@ impl PrivatePool {
     /// Faults a run of pages in with one batched load — the wave-2/-3
     /// prefetch path. Resident pages are re-protected exactly as in
     /// [`PrivatePool::fault_in`]; all misses go to the page source in a
-    /// single [`PageIo::load_batch`] call (one scatter-gather submission
-    /// on a batched backend) and are then mapped one by one under the
+    /// single [`PageIo::load_batch`] call (one batch read on an
+    /// area-backed source) and are then mapped one by one under the
     /// same capacity/eviction rules as the single-page path. Stops at the
     /// first page that cannot be loaded or evicted for, leaving the pages
     /// before it resident.
@@ -277,7 +277,7 @@ impl PrivatePool {
                 .expect("page reserved by segment layer");
             self.stats.hits.inc();
         }
-        // Load every miss outside the lock, as one submission.
+        // Load every miss outside the lock, as one batch.
         let miss_pages: Vec<DbPage> = misses.iter().map(|&(p, _)| p).collect();
         let loaded = self.io.load_batch(&miss_pages, psz as usize);
         for ((page, addr), data) in misses.into_iter().zip(loaded) {
@@ -290,7 +290,7 @@ impl PrivatePool {
                     continue; // raced in since classification; keep it
                 }
                 if inner.resident.len() >= self.capacity {
-                    // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous eviction write-back under its uncontended lock is the design until the async Backend lands (ROADMAP).
+                    // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous eviction write-back under its uncontended lock is by design — device I/O is synchronous, as in the paper's BeSS servers (§3–§4).
                     self.evict_one(&mut inner)?;
                 }
             }
@@ -461,7 +461,7 @@ impl PrivatePool {
     pub fn evict(&self, page: DbPage) -> Result<(), PoolError> {
         let mut inner = self.inner.lock();
         if inner.resident.contains_key(&page) {
-            // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous eviction write-back under its uncontended lock is the design until the async Backend lands (ROADMAP).
+            // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous eviction write-back under its uncontended lock is by design — device I/O is synchronous, as in the paper's BeSS servers (§3–§4).
             self.do_evict(&mut inner, page)?;
         }
         Ok(())
@@ -478,7 +478,7 @@ impl PrivatePool {
                 let mut buf = vec![0u8; page_size];
                 self.store.read(res.frame, 0, &mut buf);
                 self.io
-                    // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous write-back under its uncontended lock is the design until the async Backend lands (ROADMAP).
+                    // LINT: allow(blocking-under-lock) — the private pool is per-transaction state; synchronous write-back under its uncontended lock is by design — device I/O is synchronous, as in the paper's BeSS servers (§3–§4).
                     .write_back(*page, &buf)
                     .map_err(|reason| PoolError::WriteBackFailed { page: *page, reason })?;
                 res.dirty = false;

@@ -130,10 +130,6 @@ pub struct SessionConfig {
     /// reference-table updates serialise on a segment lock. Off by default
     /// (page-level hardware locking, as shipped in the paper).
     pub object_locking: bool,
-    /// Group-commit tuning applied to an embedded session's WAL: how
-    /// concurrent commit forces batch into one device sync. Ignored for
-    /// remote sessions (the server's config governs its log).
-    pub group_commit: bess_wal::GroupCommitConfig,
 }
 
 impl Default for SessionConfig {
@@ -142,7 +138,6 @@ impl Default for SessionConfig {
             pool_frames: 1024,
             policy: ProtectionPolicy::Protected,
             object_locking: false,
-            group_commit: bess_wal::GroupCommitConfig::default(),
         }
     }
 }
@@ -231,9 +226,6 @@ impl Session {
         locks: Option<Arc<LockManager>>,
         config: SessionConfig,
     ) -> Arc<Session> {
-        if let Some(log) = &log {
-            log.set_group_commit(config.group_commit);
-        }
         let overlay = Arc::new(OverlayIo {
             base: Arc::clone(&areas) as Arc<dyn PageIo>,
             overlay: Mutex::new(HashMap::new()),

@@ -1,12 +1,11 @@
-//! Pluggable I/O devices: what an [`crate::IoQueue`] executes ops against.
+//! Pluggable I/O devices: what an [`crate::IoHandle`] drives.
 //!
 //! A device is a flat positioned byte store with the raw UNIX contract —
-//! reads may come back short or interrupted (the queue's executors apply
-//! the policies in [`crate::retry`]), writes are all-or-error, `sync`
-//! makes everything written so far durable. Devices compose by wrapping
-//! ([`SlowDevice`]); the fault-injection disk in `bess-storage` is a
-//! device too, which is how the crash/corruption matrices run unchanged
-//! against the async path.
+//! reads may come back short or interrupted (the handle applies the
+//! policies in [`crate::retry`]), writes are all-or-error, `sync` makes
+//! everything written so far durable. Devices compose by wrapping; the
+//! fault-injection disk in `bess-storage` is a device too, which is how
+//! the crash/corruption matrices drive the shipped I/O path.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -15,15 +14,14 @@ use std::time::Duration;
 
 use bess_lock::order::{OrderedRwLock, Rank};
 
-/// A positioned byte store the I/O runtime can drive.
+/// A positioned byte store an [`crate::IoHandle`] can drive.
 ///
-/// Implementations must be internally synchronized: the thread-pool
-/// executor calls into a device from several workers at once (the queue
-/// guarantees per-file write-class ordering, not mutual exclusion).
+/// Implementations must be internally synchronized: concurrent callers
+/// (commit apply, readers, the scrubber) share one device.
 pub trait IoDevice: Send + Sync {
     /// Reads up to `buf.len()` bytes at `offset`, returning how many were
     /// served. `Ok(0)` means the end of the store. May return short counts
-    /// and `ErrorKind::Interrupted` spuriously — executors retry.
+    /// and `ErrorKind::Interrupted` spuriously — the handle retries.
     fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize>;
 
     /// Writes all of `data` at `offset` (growing the store if needed),
@@ -154,65 +152,6 @@ impl IoDevice for FileDevice {
     }
 }
 
-/// Latency-injecting middleware: wraps any device and sleeps before each
-/// op. This is the slow-backend proxy (§E24) — with a fixed per-read cost,
-/// a batched scatter-gather read through the thread-pool executor overlaps
-/// the waits that N sequential `read_at` calls serialize.
-pub struct SlowDevice {
-    inner: Arc<dyn IoDevice>,
-    read_delay: Duration,
-    write_delay: Duration,
-    sync_delay: Duration,
-}
-
-impl SlowDevice {
-    /// Wraps `inner`, delaying each op class by the given amount.
-    pub fn new(
-        inner: Arc<dyn IoDevice>,
-        read_delay: Duration,
-        write_delay: Duration,
-        sync_delay: Duration,
-    ) -> Arc<Self> {
-        Arc::new(SlowDevice {
-            inner,
-            read_delay,
-            write_delay,
-            sync_delay,
-        })
-    }
-}
-
-impl IoDevice for SlowDevice {
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
-        if !self.read_delay.is_zero() {
-            std::thread::sleep(self.read_delay);
-        }
-        self.inner.read_at(buf, offset)
-    }
-
-    fn write_at(&self, data: &[u8], offset: u64) -> std::io::Result<()> {
-        if !self.write_delay.is_zero() {
-            std::thread::sleep(self.write_delay);
-        }
-        self.inner.write_at(data, offset)
-    }
-
-    fn grow_to(&self, bytes: u64) -> std::io::Result<()> {
-        self.inner.grow_to(bytes)
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        if !self.sync_delay.is_zero() {
-            std::thread::sleep(self.sync_delay);
-        }
-        self.inner.sync()
-    }
-
-    fn len(&self) -> std::io::Result<u64> {
-        self.inner.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,21 +173,5 @@ mod tests {
         // grow_to never shrinks.
         dev.grow_to(50).unwrap();
         assert_eq!(dev.len().unwrap(), 100);
-    }
-
-    #[test]
-    fn slow_device_delegates() {
-        let inner = MemDevice::new();
-        let slow = SlowDevice::new(
-            inner,
-            Duration::from_micros(50),
-            Duration::ZERO,
-            Duration::ZERO,
-        );
-        slow.write_at(b"abc", 0).unwrap();
-        let mut buf = [0u8; 3];
-        assert_eq!(slow.read_at(&mut buf, 0).unwrap(), 3);
-        assert_eq!(&buf, b"abc");
-        slow.sync().unwrap();
     }
 }

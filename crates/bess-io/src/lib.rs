@@ -1,46 +1,37 @@
-//! The async batched I/O runtime of the BeSS workspace.
+//! Device I/O for the BeSS workspace.
 //!
-//! The paper's §2 multifile scatter-gather I/O and §3 client–server
-//! architecture assume a storage manager that keeps many device
-//! operations in flight. This crate is the seam that makes that possible:
-//! an io_uring-style submission/completion API ([`IoQueue::submit`] /
-//! [`IoQueue::complete`] / [`IoQueue::drain`]) over pluggable
-//! [`IoDevice`]s, backed by either a fully synchronous *inline* executor
-//! (deterministic — the op sequence a device observes is exactly the
-//! submission sequence, which the fault-injection matrices rely on) or a
-//! configurable *thread-pool* executor ([`IoRuntimeConfig`]).
+//! The paper's BeSS servers do synchronous I/O from their own processes
+//! (§3–§4). This crate is that seam: a storage area or a WAL owns one
+//! [`IoHandle`] over a pluggable [`IoDevice`] and calls it directly, on
+//! the caller's thread. A device therefore observes exactly the op
+//! sequence its owner issues, which is what the fault-injection matrices
+//! calibrate against.
 //!
 //! ## Layering
 //!
-//! Devices compose by wrapping (middleware): the fault-injection disk is
-//! itself an `IoDevice` (its two-image durable/volatile model sits beneath
-//! whatever op stream the queue issues), and [`SlowDevice`] wraps any
-//! device with per-op latency — the slow-backend proxy the benchmarks use.
-//! Integrity verify/seal hooks live one layer up, in `bess-storage`, which
-//! seals slots before submission and verifies completions; see DESIGN.md
-//! §17 for the full stack.
+//! Devices compose by wrapping (middleware): the fault-injection disk in
+//! `bess-storage` is itself an `IoDevice`, and its two-image
+//! durable/volatile model sits beneath whatever op stream the handle
+//! issues. Integrity verify/seal hooks live one layer up, in
+//! `bess-storage`, which seals slots before writing and verifies them
+//! after reading; see DESIGN.md §17 for the full stack.
 //!
-//! ## Ordering and durability contract
+//! ## Contract
 //!
-//! Per registered file:
-//! * write-class ops ([`IoOp::Write`], [`IoOp::Sync`], [`IoOp::Grow`],
-//!   [`IoOp::WriteSync`]) execute in submission order;
-//! * reads never cross a write-class op in either direction;
-//! * reads may reorder (and run concurrently) with other reads;
-//! * a `Sync` fences every earlier write to its file — when the sync's
-//!   completion is observed, those writes are durable.
-//!
-//! Ops on *different* files are unordered with respect to each other.
-//! A failed op fails only its own ticket; [`IoOp::WriteSync`] is one
-//! chained submission (write then sync, fail-fast) under a single ticket.
+//! * ops reach the device in call order; a batch call issues its ops back
+//!   to back in request order;
+//! * a failed op fails only its own call (or its own slot of a batch);
+//! * a `sync` makes every earlier write durable;
+//! * [`IoHandle::write_sync`] is write then sync, fail-fast: a failed
+//!   write never reaches the sync.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod device;
-pub mod queue;
+pub mod handle;
 pub mod retry;
 
-pub use device::{FileDevice, IoDevice, MemDevice, SlowDevice};
-pub use queue::{FileId, IoOp, IoOutput, IoQueue, IoResult, IoRuntimeConfig, IoTicket};
+pub use device::{FileDevice, IoDevice, MemDevice};
+pub use handle::IoHandle;
 pub use retry::{read_accumulating, read_exact_retrying, MAX_READ_RETRIES};

@@ -85,12 +85,6 @@ pub enum Rank {
     /// read and never held across I/O (blocking-under-lock enforces
     /// that statically).
     AreaQuarantine = 45,
-    /// `IoQueue::state` — the submission/completion bookkeeping of the
-    /// async I/O runtime. Taken briefly at submit, dequeue, and completion
-    /// publication; never held across a device call. Ranks above every
-    /// lock a submitter may hold (WAL state, area extents) and below the
-    /// device-side leaves.
-    IoQueue = 48,
     /// `MemDevice::bytes` — the in-memory disk image behind an
     /// [`bess-io`] memory device (storage areas, the WAL's memory log).
     /// A device-side leaf: nothing is acquired under it.
@@ -148,7 +142,6 @@ impl Rank {
         Rank::WalLog,
         Rank::AreaExtents,
         Rank::AreaQuarantine,
-        Rank::IoQueue,
         Rank::IoMemDevice,
         Rank::FaultImages,
         Rank::FaultPlanSlot,
@@ -185,7 +178,6 @@ impl Rank {
             Rank::WalLog => "WalLog",
             Rank::AreaExtents => "AreaExtents",
             Rank::AreaQuarantine => "AreaQuarantine",
-            Rank::IoQueue => "IoQueue",
             Rank::IoMemDevice => "IoMemDevice",
             Rank::FaultImages => "FaultImages",
             Rank::FaultPlanSlot => "FaultPlanSlot",

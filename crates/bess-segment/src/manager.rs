@@ -522,8 +522,8 @@ impl SegmentManager {
             ProtectionPolicy::Unprotected => Protect::ReadWrite,
         };
         // Prefetch pipelining: the whole slotted run goes to the pool as
-        // one batch, which the I/O queue submits as a single
-        // scatter-gather read instead of one device wait per page.
+        // one batch, which the area reads back to back as a single
+        // `read_pages_batch` instead of one load call per page.
         let pages: Vec<(DbPage, VAddr)> = (0..u64::from(rt.slotted_disk.pages))
             .map(|i| {
                 (

@@ -31,7 +31,7 @@ use bess_lock::{LockManager, LockMode, LockName, OrderedMutex, Rank, TxnId};
 use bess_net::{Caller, Endpoint, Envelope, Network, NodeId};
 use bess_storage::{AreaId, CorruptKind, DiskPtr, StorageArea, StorageError};
 use bess_wal::{
-    recover, take_checkpoint, undo_transactions, GroupCommitConfig, LogBody, LogManager,
+    recover, take_checkpoint, undo_transactions, LogBody, LogManager,
     LogPageId, Lsn, RecoveryReport, RedoTarget, TxnStatus,
 };
 use parking_lot::{Condvar, Mutex};
@@ -65,9 +65,6 @@ pub struct ServerConfig {
     /// Consecutive storage-write failures tolerated before the server
     /// drops into read-only mode (media-failure containment).
     pub media_error_threshold: u64,
-    /// Group-commit tuning applied to the server's WAL at startup: how
-    /// concurrent commit forces batch into one device sync.
-    pub group_commit: GroupCommitConfig,
     /// Background integrity scrubbing (off by default; see
     /// [`ScrubConfig`]). [`BessServer::scrub_once`] works even when the
     /// background thread is disabled.
@@ -84,7 +81,6 @@ impl ServerConfig {
             lease_duration: Duration::from_secs(10),
             coordinator_grace: Duration::from_secs(1),
             media_error_threshold: 3,
-            group_commit: GroupCommitConfig::default(),
             scrub: ScrubConfig::default(),
         }
     }
@@ -388,7 +384,6 @@ impl BessServer {
         net: &Arc<Network<Msg>>,
     ) -> (BessServer, RecoveryReport) {
         let log = Arc::new(log);
-        log.set_group_commit(cfg.group_commit);
         let mut target = AreaTarget(Arc::clone(&areas));
         let report = recover(&log, &mut target).expect("restart recovery");
 
@@ -1409,11 +1404,11 @@ impl ServerInner {
     /// repaired from the WAL first — the repair replays this very
     /// transaction too, since its commit record is already durable.
     fn apply_updates(&self, updates: &[PageUpdate], lsn: Lsn) -> Result<(), String> {
-        // One scatter-gather submission per area: the area reads each
-        // distinct destination page once, patches every update into it and
-        // writes each page back once ([`StorageArea::write_at_lsn_batch`]).
-        // Pages the batch could not apply fall back to the
-        // detect-and-repair ladder one page at a time.
+        // One batch per area: the area reads each distinct destination
+        // page once, patches every update into it and writes each page
+        // back once ([`StorageArea::write_at_lsn_batch`]). Pages the batch
+        // could not apply fall back to the detect-and-repair ladder one
+        // page at a time.
         let mut by_area: Vec<(u32, Vec<&PageUpdate>)> = Vec::new();
         for u in updates {
             match by_area.iter_mut().find(|(a, _)| *a == u.page.area) {

@@ -44,9 +44,9 @@ use std::fs::OpenOptions;
 use std::path::Path;
 use std::sync::Arc;
 
-use bess_io::{FileDevice, IoDevice, IoOp, IoOutput, IoQueue, IoResult, IoRuntimeConfig, MemDevice};
+use bess_io::{FileDevice, IoDevice, IoHandle, MemDevice};
 use bess_lock::order::{OrderedMutex, Rank};
-use bess_obs::{Counter, Group, Registry};
+use bess_obs::{Group, Registry};
 
 use crate::buddy::BuddyExtent;
 use crate::error::{CorruptKind, StorageError, StorageResult};
@@ -130,74 +130,12 @@ fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(raw)
 }
 
-/// The area's seat on the async I/O runtime: an [`IoQueue`] with exactly
-/// one registered device. The legacy blocking entry points shim through
-/// one-element batches ([`IoQueue::run_one`]), so the device observes the
-/// same op sequence as before the redesign — which is what keeps the
-/// fault-injection matrices (calibrated to the Nth device op per class)
-/// valid. The batched entry points ([`StorageArea::read_pages_batch`],
-/// [`StorageArea::write_at_lsn_batch`]) submit real multi-op batches that
-/// the thread-pool executor overlaps.
-struct Backend {
-    queue: IoQueue,
-    file: bess_io::FileId,
-}
-
-impl Backend {
-    /// Builds the queue (executor per [`IoRuntimeConfig::from_env`], so
-    /// `BESS_IO_EXEC=pool` flips the whole suite) and registers `dev`,
-    /// charging transient read retries to `retries`.
-    fn new(dev: Arc<dyn IoDevice>, group: &Group, retries: Counter) -> Self {
-        let queue = IoQueue::new(IoRuntimeConfig::from_env(), group);
-        let file = queue.register(dev, retries);
-        Backend { queue, file }
-    }
-
-    fn read_op(&self, offset: u64, len: usize) -> IoOp {
-        IoOp::Read {
-            file: self.file,
-            offset,
-            len,
-            exact: true,
-        }
-    }
-
-    /// Unwraps a read completion into its buffer.
-    fn expect_read(res: IoResult) -> StorageResult<Vec<u8>> {
-        match res? {
-            IoOutput::Read { data, .. } => Ok(data),
-            other => Err(StorageError::Io(std::io::Error::other(format!(
-                "io queue returned {other:?} for a read op"
-            )))),
-        }
-    }
-
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> StorageResult<()> {
-        let data = Self::expect_read(self.queue.run_one(self.read_op(offset, buf.len())))?;
-        buf.copy_from_slice(&data[..buf.len()]);
-        Ok(())
-    }
-
-    fn write_at(&self, data: &[u8], offset: u64) -> StorageResult<()> {
-        self.queue.run_one(IoOp::Write {
-            file: self.file,
-            offset,
-            data: data.to_vec(),
-        })?;
-        Ok(())
-    }
-
-    fn grow_to(&self, bytes: u64) -> StorageResult<()> {
-        self.queue.run_one(IoOp::Grow {
-            file: self.file,
-            len: bytes,
-        })?;
-        Ok(())
-    }
-
-    fn sync(&self) -> StorageResult<()> {
-        self.queue.run_one(IoOp::Sync { file: self.file })?;
-        Ok(())
+/// The next slot of a batch read, whose reads line up one-to-one with the
+/// pages that passed their quarantine gate.
+fn next_slot(slots: &mut impl Iterator<Item = std::io::Result<Vec<u8>>>) -> StorageResult<Vec<u8>> {
+    match slots.next() {
+        Some(slot) => Ok(slot?),
+        None => Err(StorageError::Io(std::io::Error::other("batch read lost a slot"))),
     }
 }
 
@@ -209,7 +147,12 @@ impl Backend {
 pub struct StorageArea {
     id: AreaId,
     config: AreaConfig,
-    backend: Backend,
+    /// The area's device. Single-page calls issue one op each; the batch
+    /// entry points ([`StorageArea::read_pages_batch`],
+    /// [`StorageArea::write_at_lsn_batch`]) issue their reads, then their
+    /// writes, back to back — the op sequence the fault matrices (armed at
+    /// the Nth device op per class) are calibrated to.
+    io: IoHandle,
     extents: OrderedMutex<Vec<BuddyExtent>>,
     /// Pages whose verification failed unrepairably. Checked (and released)
     /// under its own short-lived lock, never held across backend I/O.
@@ -249,9 +192,8 @@ impl StorageArea {
         Self::create_on_device(id, config, disk)
     }
 
-    /// Creates a new area on an arbitrary [`IoDevice`] — the seam the
-    /// benchmarks use to put an area on a latency-injecting
-    /// [`bess_io::SlowDevice`] proxy.
+    /// Creates a new area on an arbitrary [`IoDevice`] — the seam tests and
+    /// benchmarks use to put an area on an instrumented device.
     pub fn create_on_device(
         id: AreaId,
         config: AreaConfig,
@@ -260,11 +202,11 @@ impl StorageArea {
         assert!(config.page_size >= 64, "page size too small for headers");
         assert!(config.initial_extents >= 1, "area needs at least one extent");
         let (group, stats) = area_obs(id);
-        let backend = Backend::new(dev, &group, stats.read_retries.clone());
+        let io = IoHandle::new(dev, &group, stats.read_retries.clone());
         let area = StorageArea {
             id,
             config,
-            backend,
+            io,
             extents: OrderedMutex::new(Rank::AreaExtents, "area.extents", Vec::new()),
             quarantined: OrderedMutex::new(Rank::AreaQuarantine, "area.quarantined", HashSet::new()),
             group,
@@ -272,7 +214,7 @@ impl StorageArea {
         };
         // Room for header + initial extents.
         let total_pages = 1 + config.extent_footprint() * u64::from(config.initial_extents);
-        area.backend.grow_to(total_pages * area.slot_bytes())?;
+        area.io.grow(total_pages * area.slot_bytes())?;
         {
             let mut extents = area.extents.lock();
             for _ in 0..config.initial_extents {
@@ -309,20 +251,9 @@ impl StorageArea {
         // Bootstrap: the area header lives *inside* slot 0, after the
         // integrity header, so read enough raw bytes to learn the page
         // size, then verify the whole slot below. The area's stats object
-        // doesn't exist yet; header-read retries go to a throwaway counter,
-        // exactly as before the queue redesign.
-        let bootstrap = IoQueue::unregistered(IoRuntimeConfig::from_env());
-        let boot_file = bootstrap.register(Arc::clone(&dev), Counter::unregistered());
+        // doesn't exist yet; header-read retries go to a throwaway counter.
         let mut head = [0u8; PAGE_HDR + 24];
-        let data = Backend::expect_read(bootstrap.run_one(IoOp::Read {
-            file: boot_file,
-            offset: 0,
-            len: head.len(),
-            exact: true,
-        }))?;
-        let head_len = head.len();
-        head.copy_from_slice(&data[..head_len]);
-        drop(bootstrap);
+        IoHandle::unregistered(Arc::clone(&dev)).read_exact(&mut head, 0)?;
         let body = &head[PAGE_HDR..];
         let magic = le_u32(&body[0..4]);
         if magic != AREA_MAGIC {
@@ -348,11 +279,11 @@ impl StorageArea {
             verify_on_read: true,
         };
         let (group, stats) = area_obs(id);
-        let backend = Backend::new(dev, &group, stats.read_retries.clone());
+        let io = IoHandle::new(dev, &group, stats.read_retries.clone());
         let area = StorageArea {
             id,
             config,
-            backend,
+            io,
             extents: OrderedMutex::new(Rank::AreaExtents, "area.extents", Vec::new()),
             quarantined: OrderedMutex::new(Rank::AreaQuarantine, "area.quarantined", HashSet::new()),
             group,
@@ -552,7 +483,7 @@ impl StorageArea {
         let offset = extent.alloc(order).ok_or(StorageError::OutOfSpace)?;
         extents.push(extent);
         let total_pages = 1 + self.config.extent_footprint() * (u64::from(new_index) + 1);
-        self.backend.grow_to(total_pages * self.slot_bytes())?;
+        self.io.grow(total_pages * self.slot_bytes())?;
         IoStats::bump(&self.stats.extends);
         self.refresh_alloc_gauges(&extents);
         drop(extents);
@@ -624,7 +555,7 @@ impl StorageArea {
     // ---- page I/O --------------------------------------------------------
 
     fn read_slot_raw(&self, page: u64, slot: &mut [u8]) -> StorageResult<()> {
-        self.backend.read_at(slot, self.slot_offset(page))
+        Ok(self.io.read_exact(slot, self.slot_offset(page))?)
     }
 
     /// Reads `page`'s full slot and verifies it, re-reading once on a
@@ -664,7 +595,7 @@ impl StorageArea {
 
     fn seal_and_write(&self, page: u64, lsn: u64, slot: &mut [u8]) -> StorageResult<()> {
         integrity::reseal(self.id.0, page, lsn, slot);
-        self.backend.write_at(slot, self.slot_offset(page))?;
+        self.io.write(slot, self.slot_offset(page))?;
         IoStats::bump(&self.stats.page_writes);
         Ok(())
     }
@@ -681,40 +612,43 @@ impl StorageArea {
         Ok(())
     }
 
-    /// Reads many absolute pages in one scatter-gather submission: every
-    /// slot read enters the [`IoQueue`] as a single batch — which the
-    /// thread-pool executor overlaps, turning N serial device waits into
-    /// one — then each completion is verified independently with the same
-    /// single re-read repair as [`Self::read_page`]. Returns one result
-    /// per requested page, in request order; each failure is per-page
-    /// (a corrupt or quarantined page never poisons its neighbors).
+    /// Reads many absolute pages as one batch: every slot is read first,
+    /// in request order, then each is verified independently with the
+    /// same single re-read repair as [`Self::read_page`] (so any re-read
+    /// lands after all the batch reads). Returns one result per requested
+    /// page, in request order; each failure is per-page (a corrupt or
+    /// quarantined page never poisons its neighbors).
     pub fn read_pages_batch(&self, pages: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
-        let slot_len = PAGE_HDR + self.config.page_size;
-        // Quarantined pages fail fast without touching the backend; the
-        // rest go out as one submission.
+        // Quarantined pages fail fast without touching the backend.
         let gate: Vec<StorageResult<()>> =
             pages.iter().map(|&p| self.check_quarantine(p)).collect();
-        let ops: Vec<IoOp> = pages
-            .iter()
-            .zip(&gate)
-            .filter(|(_, g)| g.is_ok())
-            .map(|(&p, _)| self.backend.read_op(self.slot_offset(p), slot_len))
-            .collect();
-        let mut tickets = self.backend.queue.submit_owned(ops).into_iter();
+        let mut slots = self.read_slots_batch(pages, &gate).into_iter();
         pages
             .iter()
             .zip(gate)
             .map(|(&page, gate)| {
                 gate?;
-                let ticket = tickets.next().ok_or_else(|| {
-                    StorageError::Io(std::io::Error::other("io queue lost a submitted read"))
-                })?;
-                let mut slot = Backend::expect_read(self.backend.queue.complete(ticket))?;
+                let mut slot = next_slot(&mut slots)?;
                 self.verify_with_reread(page, &mut slot)?;
                 IoStats::bump(&self.stats.page_reads);
                 Ok(slot.split_off(PAGE_HDR))
             })
             .collect()
+    }
+
+    /// Reads the slot of every page whose gate passed, as one batch.
+    fn read_slots_batch(
+        &self,
+        pages: &[u64],
+        gate: &[StorageResult<()>],
+    ) -> Vec<std::io::Result<Vec<u8>>> {
+        let offsets: Vec<u64> = pages
+            .iter()
+            .zip(gate)
+            .filter(|(_, g)| g.is_ok())
+            .map(|(&p, _)| self.slot_offset(p))
+            .collect();
+        self.io.read_exact_batch(&offsets, PAGE_HDR + self.config.page_size)
     }
 
     /// Writes an absolute page from `data` (`data.len() == page_size`),
@@ -776,13 +710,12 @@ impl StorageArea {
         self.seal_and_write(page, lsn, &mut slot)
     }
 
-    /// Applies a batch of sub-page patches as scatter-gather I/O: one
-    /// verified read per *distinct* page (all reads submitted as a single
-    /// batch), every patch for a page applied to its slot in memory, then
-    /// one sealed write per page (again a single batch). Patches to the
-    /// same page coalesce into one read-modify-write, the last patch's
-    /// `lsn` winning — exactly what the serial per-update loop would leave
-    /// on disk, in half the device ops.
+    /// Applies a batch of sub-page patches: one verified read per
+    /// *distinct* page (all reads issued first, as one batch), every patch
+    /// for a page applied to its slot in memory, then one sealed write per
+    /// page (again one batch). Patches to the same page coalesce into one
+    /// read-modify-write, the last patch's `lsn` winning — exactly what the
+    /// serial per-update loop would leave on disk, in half the device ops.
     ///
     /// Returns one result per distinct page in first-appearance order, so
     /// a caller can repair-and-retry exactly the pages that failed.
@@ -800,28 +733,18 @@ impl StorageArea {
                 pages.push(u.page);
             }
         }
-        let slot_len = PAGE_HDR + self.config.page_size;
         let gate: Vec<StorageResult<()>> =
             pages.iter().map(|&p| self.check_quarantine(p)).collect();
-        let read_ops: Vec<IoOp> = pages
-            .iter()
-            .zip(&gate)
-            .filter(|(_, g)| g.is_ok())
-            .map(|(&p, _)| self.backend.read_op(self.slot_offset(p), slot_len))
-            .collect();
-        let mut read_tickets = self.backend.queue.submit_owned(read_ops).into_iter();
+        let mut slots = self.read_slots_batch(&pages, &gate).into_iter();
 
-        // Phase 1: complete each read, verify, patch, reseal. Slots that
-        // survive queue up as write ops; failures keep their per-page error.
+        // Phase 1: verify each slot, patch, reseal. Slots that survive
+        // queue up as writes; failures keep their per-page error.
         let mut results: Vec<(u64, StorageResult<()>)> = Vec::with_capacity(pages.len());
-        let mut write_ops: Vec<IoOp> = Vec::new();
+        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut write_pages: Vec<usize> = Vec::new(); // index into `results`
         for (&page, gate) in pages.iter().zip(gate) {
             let prepared = gate.and_then(|()| {
-                let ticket = read_tickets.next().ok_or_else(|| {
-                    StorageError::Io(std::io::Error::other("io queue lost a submitted read"))
-                })?;
-                let mut slot = Backend::expect_read(self.backend.queue.complete(ticket))?;
+                let mut slot = next_slot(&mut slots)?;
                 let mut lsn = self.verify_with_reread(page, &mut slot)?;
                 for u in updates.iter().filter(|u| u.page == page) {
                     slot[PAGE_HDR + u.offset..PAGE_HDR + u.offset + u.data.len()]
@@ -834,22 +757,17 @@ impl StorageArea {
             match prepared {
                 Ok(slot) => {
                     write_pages.push(results.len());
-                    write_ops.push(IoOp::Write {
-                        file: self.backend.file,
-                        offset: self.slot_offset(page),
-                        data: slot,
-                    });
+                    writes.push((self.slot_offset(page), slot));
                     results.push((page, Ok(())));
                 }
                 Err(e) => results.push((page, Err(e))),
             }
         }
 
-        // Phase 2: all surviving writes as one submission.
-        let tickets = self.backend.queue.submit_owned(write_ops);
-        for (idx, ticket) in write_pages.into_iter().zip(tickets) {
-            match self.backend.queue.complete(ticket) {
-                Ok(_) => IoStats::bump(&self.stats.page_writes),
+        // Phase 2: all surviving writes as one batch.
+        for (idx, res) in write_pages.into_iter().zip(self.io.write_batch(&writes)) {
+            match res {
+                Ok(()) => IoStats::bump(&self.stats.page_writes),
                 Err(e) => results[idx].1 = Err(e.into()),
             }
         }
@@ -890,7 +808,7 @@ impl StorageArea {
 
     /// Forces all written pages to stable storage.
     pub fn sync(&self) -> StorageResult<()> {
-        self.backend.sync()?;
+        self.io.sync()?;
         IoStats::bump(&self.stats.syncs);
         Ok(())
     }
@@ -909,7 +827,7 @@ impl StorageArea {
         let mut slot = vec![0u8; PAGE_HDR + self.config.page_size];
         slot[PAGE_HDR..].copy_from_slice(&page);
         integrity::reseal(self.id.0, 0, 0, &mut slot);
-        self.backend.write_at(&slot, 0)
+        Ok(self.io.write(&slot, 0)?)
     }
 
     fn write_extent_meta(&self, extent: u32) -> StorageResult<()> {
@@ -941,7 +859,7 @@ impl StorageArea {
         let mut slot = vec![0u8; PAGE_HDR + self.config.page_size];
         slot[PAGE_HDR..].copy_from_slice(&page);
         integrity::reseal(self.id.0, meta, 0, &mut slot);
-        self.backend.write_at(&slot, self.slot_offset(meta))
+        Ok(self.io.write(&slot, self.slot_offset(meta))?)
     }
 
     fn load_extent_meta(&self, extent: u32) -> StorageResult<BuddyExtent> {
@@ -985,6 +903,7 @@ impl std::fmt::Debug for StorageArea {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bess_obs::Counter;
     use crate::fault::{FaultKind, FaultPlan, OpClass};
     use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -393,11 +393,11 @@ impl FaultDisk {
     }
 }
 
-/// The fault disk is an [`bess_io::IoDevice`], so it slots under the async
-/// I/O queue as middleware: the two-image durable/volatile model observes
-/// exactly the op stream the queue issues, and the crash/corruption
-/// matrices — calibrated to the Nth device op per [`OpClass`] — run
-/// unchanged against either executor.
+/// The fault disk is an [`bess_io::IoDevice`], so it slots under an
+/// [`bess_io::IoHandle`] as middleware: the two-image durable/volatile
+/// model observes exactly the op stream the handle issues, which is what
+/// the crash/corruption matrices — calibrated to the Nth device op per
+/// [`OpClass`] — count.
 impl bess_io::IoDevice for FaultDisk {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
         FaultDisk::read_at(self, buf, offset)

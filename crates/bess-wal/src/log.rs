@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bess_io::{FileDevice, IoDevice, IoOp, IoOutput, IoQueue, IoRuntimeConfig, MemDevice};
+use bess_io::{FileDevice, IoDevice, IoHandle, MemDevice};
 use bess_lock::order::{OrderedMutex, Rank};
 use bess_obs::{Counter, Group, LatencyHistogram, Registry};
 use bess_storage::fault::FaultDisk;
@@ -70,73 +70,6 @@ impl From<std::io::Error> for WalError {
 
 /// Result alias for log operations.
 pub type WalResult<T> = Result<T, WalError>;
-
-/// The log's seat on the async I/O runtime: an [`IoQueue`] with exactly
-/// one registered device. The legacy blocking entry points shim through
-/// one-element batches ([`IoQueue::run_one`]), preserving the exact device
-/// op sequence the crash matrices are calibrated to; the group-commit
-/// force submits its whole round as a single chained
-/// [`IoOp::WriteSync`] — one ticket, write then sync, fail-fast.
-struct LogBackend {
-    queue: IoQueue,
-    file: bess_io::FileId,
-    /// In-memory device handle, kept so [`LogManager::simulate_crash`] can
-    /// snapshot the volatile image out-of-band (not a queue op — no
-    /// fault-plan count impact).
-    mem: Option<Arc<MemDevice>>,
-}
-
-impl LogBackend {
-    fn new(dev: Arc<dyn IoDevice>, mem: Option<Arc<MemDevice>>, group: &Group) -> Self {
-        let queue = IoQueue::new(IoRuntimeConfig::from_env(), group);
-        let file = queue.register(dev, Counter::unregistered());
-        LogBackend { queue, file, mem }
-    }
-
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> WalResult<usize> {
-        match self.queue.run_one(IoOp::Read {
-            file: self.file,
-            offset,
-            len: buf.len(),
-            exact: false,
-        })? {
-            IoOutput::Read { data, n } => {
-                buf[..n].copy_from_slice(&data[..n]);
-                Ok(n)
-            }
-            other => Err(WalError::Io(std::io::Error::other(format!(
-                "io queue returned {other:?} for a read op"
-            )))),
-        }
-    }
-
-    fn write_at(&self, data: &[u8], offset: u64) -> WalResult<()> {
-        self.queue.run_one(IoOp::Write {
-            file: self.file,
-            offset,
-            data: data.to_vec(),
-        })?;
-        Ok(())
-    }
-
-    fn sync(&self) -> WalResult<()> {
-        self.queue.run_one(IoOp::Sync { file: self.file })?;
-        Ok(())
-    }
-
-    /// The group-commit force: the round's write and sync as one chained
-    /// submission under a single ticket. The device still observes
-    /// write-then-sync (fail-fast), so fault plans armed on either op
-    /// class fire exactly as they did on the two-call path.
-    fn write_sync(&self, data: Vec<u8>, offset: u64) -> WalResult<()> {
-        self.queue.run_one(IoOp::WriteSync {
-            file: self.file,
-            offset,
-            data,
-        })?;
-        Ok(())
-    }
-}
 
 /// Little-endian `u32` from the first four bytes of `b`; shorter input is
 /// zero-extended, so header parsing never panics on a truncated log.
@@ -281,7 +214,13 @@ impl WalStats {
 
 /// The write-ahead log.
 pub struct LogManager {
-    backend: LogBackend,
+    /// The log device. The group-commit force issues its whole round as
+    /// one fail-fast write+sync.
+    io: IoHandle,
+    /// In-memory device, kept so [`LogManager::simulate_crash`] can
+    /// snapshot the volatile image out-of-band (not a device op — no
+    /// fault-plan count impact).
+    mem: Option<Arc<MemDevice>>,
     state: OrderedMutex<LogState>,
     /// Group-commit coordination; rank `WalGroup` (below `WalLog`).
     gc: OrderedMutex<GroupState>,
@@ -315,14 +254,15 @@ fn log_parts(
     state: OrderedMutex<LogState>,
 ) -> LogManager {
     let group = Registry::new().group("wal");
-    let backend = LogBackend::new(dev, mem, &group);
+    let io = IoHandle::new(dev, &group, Counter::unregistered());
     let stats = WalStats::new(&group);
     let append_ns = group.histogram("append.ns");
     let flush_ns = group.histogram("flush.ns");
     let group_size = group.histogram("group.size");
     let cfg = GroupCommitConfig::default();
     LogManager {
-        backend,
+        io,
+        mem,
         state,
         gc: OrderedMutex::new(
             Rank::WalGroup,
@@ -426,25 +366,11 @@ impl LogManager {
     }
 
     fn open_device(dev: Arc<dyn IoDevice>, mem: Option<Arc<MemDevice>>) -> WalResult<Self> {
-        // Bootstrap: read the header through a throwaway queue (one device
-        // read op, exactly as before the redesign); the manager's own
-        // queue takes over once its metric group exists.
-        let bootstrap = IoQueue::unregistered(IoRuntimeConfig::from_env());
-        let boot_file = bootstrap.register(Arc::clone(&dev), Counter::unregistered());
+        // Bootstrap: read the header with one device op through an
+        // unmetered handle; the manager's own handle takes over once its
+        // metric group exists.
         let mut head = [0u8; 32];
-        let n = match bootstrap.run_one(IoOp::Read {
-            file: boot_file,
-            offset: 0,
-            len: head.len(),
-            exact: false,
-        })? {
-            IoOutput::Read { data, n } => {
-                head[..n].copy_from_slice(&data[..n]);
-                n
-            }
-            _ => 0,
-        };
-        drop(bootstrap);
+        let n = IoHandle::unregistered(Arc::clone(&dev)).read_short(&mut head, 0)?;
         if n < 16 {
             return Err(WalError::Corrupt("log shorter than header".into()));
         }
@@ -478,7 +404,7 @@ impl LogManager {
     /// that were flushed. Memory-backed logs only (file-backed logs are
     /// crash-tested by reopening the file).
     pub fn simulate_crash(&self) -> WalResult<Self> {
-        let Some(mem) = &self.backend.mem else {
+        let Some(mem) = &self.mem else {
             return Err(WalError::Corrupt(
                 "simulate_crash only supported on memory logs".into(),
             ));
@@ -495,7 +421,7 @@ impl LogManager {
         head[0..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
         head[4..8].copy_from_slice(&LOG_VERSION.to_le_bytes());
         head[8..16].copy_from_slice(&master.0.to_le_bytes());
-        self.backend.write_at(&head, 0)
+        Ok(self.io.write(&head, 0)?)
     }
 
     /// Activity counters.
@@ -509,10 +435,9 @@ impl LogManager {
         &self.group
     }
 
-    /// Replaces the group-commit tuning. Normally set once at startup
-    /// (servers and sessions plumb it from their own config structs);
-    /// changing it is safe at any time, but takes effect per `flush`
-    /// call.
+    /// Replaces the group-commit tuning (the shipped stack runs the
+    /// default; tests use this to open a gather window). Changing it is
+    /// safe at any time, but takes effect per `flush` call.
     pub fn set_group_commit(&self, cfg: GroupCommitConfig) {
         self.gather_bytes.store(cfg.max_group_bytes, Ordering::Relaxed);
         self.gc.lock().cfg = cfg;
@@ -714,12 +639,11 @@ impl LogManager {
 
             self.at_force_point(ForcePoint::AfterSwap);
 
-            // The whole group as ONE chained write+sync submission, no
-            // locks held: appends and new flush arrivals proceed while
-            // the device works, and the queue delivers a single
-            // completion for the round.
+            // The whole group as ONE fail-fast write+sync, no locks held:
+            // appends and new flush arrivals proceed while the device
+            // works.
             let timer = self.flush_ns.start();
-            let res = self.backend.write_sync((*buf).clone(), offset);
+            let res = self.io.write_sync(&buf, offset).map_err(WalError::from);
             drop(timer);
             if res.is_ok() {
                 self.at_force_point(ForcePoint::AfterSync);
@@ -779,7 +703,7 @@ impl LogManager {
     /// Durably records `lsn` as the checkpoint to start recovery from.
     pub fn set_master(&self, lsn: Lsn) -> WalResult<()> {
         self.write_header(lsn)?;
-        self.backend.sync()?;
+        self.io.sync()?;
         self.state.lock().master = lsn;
         Ok(())
     }
@@ -839,7 +763,7 @@ impl LogManager {
                     return Ok(done);
                 }
             }
-            self.backend.read_at(buf, offset)
+            Ok(self.io.read_short(buf, offset)?)
         };
         let mut head = [0u8; 12];
         if read_bytes(lsn.0, &mut head)? < 12 {

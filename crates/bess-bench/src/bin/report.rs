@@ -1,5 +1,5 @@
 //! The experiment report harness: regenerates every *counting* experiment
-//! of DESIGN.md §4 (E2-E5, E8-E10, E17-E21) and prints the tables recorded
+//! of DESIGN.md §4 (E2-E5, E8-E10, E18-E21) and prints the tables recorded
 //! in EXPERIMENTS.md. Timing experiments (E1, E6, E7, E11-E14) live in the
 //! criterion benches.
 //!
@@ -114,7 +114,6 @@ fn main() {
     e8_hit_rates(r);
     e9_callback(r);
     e10_two_pc(r);
-    e17_deadlock_policy(r);
     e18_recovery_under_faults(r);
     e19_failure_containment(r);
     e20_obs_overhead(r);
@@ -614,65 +613,6 @@ fn e9_callback(report: &mut JsonReport) {
 }
 
 // ---------------------------------------------------------------------------
-// E17 (ablation) — deadlock resolution: the paper's timeouts vs a
-// waits-for-graph detector.
-// ---------------------------------------------------------------------------
-fn e17_deadlock_policy(report: &mut JsonReport) {
-    use bess_lock::{DeadlockPolicy, LockManager, LockMode, LockName, TxnId};
-    println!("## E17 — deadlock resolution: timeout (paper) vs waits-for detection (ablation)\n");
-    println!("| policy | resolution latency (2-txn cycle) | victim work wasted |");
-    println!("|---|---|---|");
-    for (label, policy, timeout) in [
-        ("timeout 100ms (paper §3)", DeadlockPolicy::Timeout, Duration::from_millis(100)),
-        ("timeout 500ms (paper §3)", DeadlockPolicy::Timeout, Duration::from_millis(500)),
-        ("waits-for detection", DeadlockPolicy::Detect, Duration::from_secs(5)),
-    ] {
-        let mut total = Duration::ZERO;
-        const ROUNDS: u32 = 5;
-        for r in 0..ROUNDS {
-            let m = Arc::new(LockManager::with_policy(timeout, policy));
-            let p1 = LockName::Page { area: 0, page: u64::from(r) * 2 };
-            let p2 = LockName::Page { area: 0, page: u64::from(r) * 2 + 1 };
-            m.lock(TxnId(1), p1, LockMode::X).unwrap();
-            m.lock(TxnId(2), p2, LockMode::X).unwrap();
-            let m1 = Arc::clone(&m);
-            let h = std::thread::spawn(move || {
-                let _ = m1.lock(TxnId(1), p2, LockMode::X);
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            let t0 = Instant::now();
-            let _ = m.lock(TxnId(2), p1, LockMode::X); // closes the cycle
-            total += t0.elapsed();
-            m.unlock_all(TxnId(2));
-            h.join().unwrap();
-            m.unlock_all(TxnId(1));
-        }
-        println!(
-            "| {label} | {:?} | {} |",
-            total / ROUNDS,
-            if policy == DeadlockPolicy::Detect {
-                "none (refused before waiting)"
-            } else {
-                "one full timeout of blocking"
-            }
-        );
-        report.int(
-            "E17",
-            &format!(
-                "{}_resolution_ns",
-                if policy == DeadlockPolicy::Detect {
-                    "detect".to_string()
-                } else {
-                    format!("timeout{}ms", timeout.as_millis())
-                }
-            ),
-            (total / ROUNDS).as_nanos() as u64,
-        );
-    }
-    println!();
-}
-
-// ---------------------------------------------------------------------------
 // E10 — distributed commit across servers: the one msgs/commit measurement
 // (E25 reuses it).
 // ---------------------------------------------------------------------------
@@ -1036,8 +976,7 @@ fn e20_obs_overhead(report: &mut JsonReport) {
     println!("| on (sampled 1-in-16) | {on:.0} |");
     println!("| off (`set_timing(false)`) | {off:.0} |");
     println!(
-        "| overhead | {overhead:.1}% (target <=5%; `--features bess-obs/noop` \
-         compiles recording out entirely) |\n"
+        "| overhead | {overhead:.1}% (target <=5%) |\n"
     );
     report.num("E20", "appends_per_sec_timing_on", on);
     report.num("E20", "appends_per_sec_timing_off", off);

@@ -12,6 +12,12 @@
 //! conflicting lock, the server issues a **callback**; the cache releases
 //! the lock immediately if no local transaction is using it, otherwise the
 //! callback is deferred until the last local user finishes.
+//!
+//! A lock request that missed is *in flight* until the caller reports its
+//! outcome ([`LockCache::grant`] or [`LockCache::abandon`]). A callback for
+//! an in-flight name that is not cached yet is deferred rather than
+//! answered "not cached": the server may have granted the lock an instant
+//! ago, and the grant is then cached with the callback already pending.
 
 use std::collections::{HashMap, HashSet};
 
@@ -85,9 +91,24 @@ impl CacheStats {
     }
 }
 
+/// A lock request sent to the server and not yet answered.
+#[derive(Debug, Default)]
+struct InFlight {
+    /// Requests outstanding for the name.
+    requests: u32,
+    /// A callback arrived while they were outstanding and was deferred.
+    called_back: bool,
+}
+
+#[derive(Debug, Default)]
+struct Table {
+    cached: HashMap<LockName, CachedLock>,
+    in_flight: HashMap<LockName, InFlight>,
+}
+
 /// The per-client cache of locks granted by servers.
 pub struct LockCache {
-    locks: OrderedMutex<HashMap<LockName, CachedLock>>,
+    locks: OrderedMutex<Table>,
     group: Group,
     stats: CacheStats,
 }
@@ -98,7 +119,7 @@ impl LockCache {
         let group = Registry::new().group("lock.cache");
         let stats = CacheStats::new(&group);
         LockCache {
-            locks: OrderedMutex::new(Rank::LockCache, "lock.cache", HashMap::new()),
+            locks: OrderedMutex::new(Rank::LockCache, "lock.cache", Table::default()),
             group,
             stats,
         }
@@ -116,40 +137,63 @@ impl LockCache {
 
     /// Probes the cache on behalf of local transaction `txn` wanting
     /// `mode`. On [`CacheDecision::Hit`] the transaction is registered as a
-    /// user of the cached lock.
+    /// user of the cached lock. On [`CacheDecision::Miss`] the request is
+    /// in flight until the caller reports the server's answer with
+    /// [`Self::grant`] or [`Self::abandon`].
     pub fn acquire(&self, txn: TxnId, name: LockName, mode: LockMode) -> CacheDecision {
         let mut locks = self.locks.lock();
-        match locks.get_mut(&name) {
+        let need = match locks.cached.get_mut(&name) {
             Some(cached) if cached.mode.covers(mode) && !cached.callback_pending => {
                 cached.users.insert(txn);
                 self.stats.hits.inc();
-                CacheDecision::Hit
+                return CacheDecision::Hit;
             }
-            Some(cached) if !cached.callback_pending => {
-                // Cached but too weak: the server must upgrade to the
-                // supremum of what is cached and what is wanted.
-                self.stats.misses.inc();
-                CacheDecision::Miss {
-                    need: cached.mode.supremum(mode),
-                }
-            }
-            _ => {
-                self.stats.misses.inc();
-                CacheDecision::Miss { need: mode }
-            }
-        }
+            // Cached but too weak: the server must upgrade to the supremum
+            // of what is cached and what is wanted.
+            Some(cached) if !cached.callback_pending => cached.mode.supremum(mode),
+            _ => mode,
+        };
+        self.stats.misses.inc();
+        locks.in_flight.entry(name).or_default().requests += 1;
+        CacheDecision::Miss { need }
     }
 
-    /// Records a lock granted by the server for `txn`.
+    /// Records a lock granted by the server for `txn`, ending its in-flight
+    /// request. A callback that arrived while the request was in flight
+    /// leaves the lock marked for release when its users finish.
     pub fn grant(&self, txn: TxnId, name: LockName, mode: LockMode) {
         let mut locks = self.locks.lock();
-        let entry = locks.entry(name).or_insert_with(|| CachedLock {
+        let called_back = Self::land(&mut locks, name, true);
+        let entry = locks.cached.entry(name).or_insert_with(|| CachedLock {
             mode,
             users: HashSet::new(),
             callback_pending: false,
         });
         entry.mode = entry.mode.supremum(mode);
         entry.users.insert(txn);
+        entry.callback_pending |= called_back;
+    }
+
+    /// Ends an in-flight request the server denied or that failed: nothing
+    /// was granted, so nothing is cached. A deferred callback stays with
+    /// any other request for the name still in flight.
+    pub fn abandon(&self, name: LockName) {
+        Self::land(&mut self.locks.lock(), name, false);
+    }
+
+    /// Ends one in-flight request for `name`. A granted request takes the
+    /// deferred callback with it, returning whether there was one; the last
+    /// request to land clears the entry.
+    fn land(table: &mut Table, name: LockName, granted: bool) -> bool {
+        let Some(flight) = table.in_flight.get_mut(&name) else {
+            return false;
+        };
+        let called_back = granted && std::mem::take(&mut flight.called_back);
+        flight.requests = flight.requests.saturating_sub(1);
+        if flight.requests == 0 {
+            table.in_flight.remove(&name);
+        }
+        called_back
     }
 
     /// Handles a server callback for `name`. Returns how the cache
@@ -158,10 +202,19 @@ impl LockCache {
     pub fn callback(&self, name: LockName) -> CallbackResponse {
         self.stats.callbacks.inc();
         let mut locks = self.locks.lock();
-        match locks.get_mut(&name) {
-            None => CallbackResponse::NotCached,
+        let table = &mut *locks;
+        match table.cached.get_mut(&name) {
+            None => match table.in_flight.get_mut(&name) {
+                // The grant may be on its way: defer until it lands.
+                Some(flight) => {
+                    flight.called_back = true;
+                    self.stats.callback_deferred.inc();
+                    CallbackResponse::Deferred
+                }
+                None => CallbackResponse::NotCached,
+            },
             Some(cached) if cached.users.is_empty() => {
-                locks.remove(&name);
+                table.cached.remove(&name);
                 self.stats.callback_released.inc();
                 CallbackResponse::Released
             }
@@ -179,7 +232,7 @@ impl LockCache {
     pub fn callback_downgrade(&self, name: LockName, to: LockMode) -> bool {
         self.stats.callbacks.inc();
         let mut locks = self.locks.lock();
-        match locks.get_mut(&name) {
+        match locks.cached.get_mut(&name) {
             Some(cached) if cached.users.is_empty() && cached.mode.covers(to) => {
                 cached.mode = to;
                 self.stats.callback_released.inc();
@@ -187,26 +240,12 @@ impl LockCache {
             }
             None => true,
             _ => {
-                if let Some(cached) = locks.get_mut(&name) {
+                if let Some(cached) = locks.cached.get_mut(&name) {
                     cached.callback_pending = true;
                 }
                 self.stats.callback_deferred.inc();
                 false
             }
-        }
-    }
-
-    /// Marks a cached lock as having a pending callback (used when a
-    /// callback raced the grant of the lock: the release happens when the
-    /// last user finishes). Returns whether the lock was cached.
-    pub fn mark_callback_pending(&self, name: LockName) -> bool {
-        let mut locks = self.locks.lock();
-        match locks.get_mut(&name) {
-            Some(cached) => {
-                cached.callback_pending = true;
-                true
-            }
-            None => false,
         }
     }
 
@@ -218,7 +257,7 @@ impl LockCache {
     pub fn finish_txn(&self, txn: TxnId) -> Vec<LockName> {
         let mut released = Vec::new();
         let mut locks = self.locks.lock();
-        locks.retain(|name, cached| {
+        locks.cached.retain(|name, cached| {
             cached.users.remove(&txn);
             if cached.callback_pending && cached.users.is_empty() {
                 released.push(*name);
@@ -235,24 +274,24 @@ impl LockCache {
     /// §3). Returns the names so the caller can notify servers.
     pub fn clear(&self) -> Vec<LockName> {
         let mut locks = self.locks.lock();
-        let names = locks.keys().copied().collect();
-        locks.clear();
+        let names = locks.cached.keys().copied().collect();
+        locks.cached.clear();
         names
     }
 
     /// The cached mode for `name`, if any.
     pub fn cached_mode(&self, name: LockName) -> Option<LockMode> {
-        self.locks.lock().get(&name).map(|c| c.mode)
+        self.locks.lock().cached.get(&name).map(|c| c.mode)
     }
 
     /// Number of cached locks.
     pub fn len(&self) -> usize {
-        self.locks.lock().len()
+        self.locks.lock().cached.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.locks.lock().is_empty()
+        self.locks.lock().cached.is_empty()
     }
 }
 
@@ -357,6 +396,43 @@ mod tests {
         names.sort();
         assert_eq!(names, vec![page(1), page(2)]);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn callback_during_miss_defers_until_the_request_lands() {
+        let cache = LockCache::new();
+        assert!(matches!(
+            cache.acquire(TxnId(1), page(1), LockMode::X),
+            CacheDecision::Miss { .. }
+        ));
+        // The server called back before its grant reached us.
+        assert_eq!(cache.callback(page(1)), CallbackResponse::Deferred);
+        cache.grant(TxnId(1), page(1), LockMode::X);
+        // The grant landed with the callback pending: no new user may hit,
+        // and the release comes with the last user's end.
+        assert!(matches!(
+            cache.acquire(TxnId(2), page(1), LockMode::S),
+            CacheDecision::Miss { .. }
+        ));
+        cache.abandon(page(1));
+        assert_eq!(cache.finish_txn(TxnId(1)), vec![page(1)]);
+        assert!(cache.is_empty());
+        assert_eq!(cache.callback(page(1)), CallbackResponse::NotCached);
+
+        // A denied request leaves no trace, deferred callback included.
+        assert!(matches!(
+            cache.acquire(TxnId(3), page(2), LockMode::X),
+            CacheDecision::Miss { .. }
+        ));
+        assert_eq!(cache.callback(page(2)), CallbackResponse::Deferred);
+        cache.abandon(page(2));
+        assert!(cache.is_empty());
+        assert_eq!(cache.callback(page(2)), CallbackResponse::NotCached);
+        cache.grant(TxnId(4), page(2), LockMode::S);
+        assert_eq!(
+            cache.acquire(TxnId(5), page(2), LockMode::S),
+            CacheDecision::Hit
+        );
     }
 
     #[test]

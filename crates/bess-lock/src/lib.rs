@@ -33,6 +33,6 @@ pub mod order;
 
 pub use cache::{CacheDecision, CacheStats, CallbackResponse, LockCache};
 pub use order::{OrderedMutex, OrderedRwLock, Rank};
-pub use manager::{DeadlockPolicy, LockError, LockManager, LockResult, LockStats};
+pub use manager::{LockError, LockManager, LockResult, LockStats};
 pub use mode::LockMode;
 pub use name::{LockName, TxnId};

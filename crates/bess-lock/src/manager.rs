@@ -18,19 +18,6 @@ use crate::mode::LockMode;
 use crate::name::{LockName, TxnId};
 use crate::order::{OrderedMutex, Rank};
 
-/// How deadlocks are resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeadlockPolicy {
-    /// The paper's policy (§3): waiters time out and abort — simple and
-    /// correct in a distributed setting where no one sees the whole
-    /// waits-for graph.
-    Timeout,
-    /// Ablation baseline: maintain a local waits-for graph and refuse a
-    /// wait that would close a cycle — victims are chosen immediately, at
-    /// the cost of centralised knowledge (only sound within one manager).
-    Detect,
-}
-
 /// Errors from lock operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockError {
@@ -43,13 +30,6 @@ pub enum LockError {
         name: LockName,
         /// The requested mode.
         mode: LockMode,
-    },
-    /// The wait would close a waits-for cycle ([`DeadlockPolicy::Detect`]).
-    DeadlockDetected {
-        /// The refused transaction (the victim).
-        txn: TxnId,
-        /// The contested resource.
-        name: LockName,
     },
     /// An unlock/downgrade named a lock the transaction does not hold.
     NotHeld {
@@ -72,9 +52,6 @@ impl std::fmt::Display for LockError {
         match self {
             LockError::Timeout { txn, name, mode } => {
                 write!(f, "{txn} timed out waiting for {mode:?} on {name} (possible deadlock)")
-            }
-            LockError::DeadlockDetected { txn, name } => {
-                write!(f, "{txn} would deadlock waiting for {name}")
             }
             LockError::NotHeld { txn, name } => write!(f, "{txn} does not hold {name}"),
             LockError::BadDowngrade { held, requested } => {
@@ -191,10 +168,6 @@ const SHARDS: usize = 16;
 pub struct LockManager {
     shards: Vec<OrderedMutex<HashMap<LockName, LockEntry>>>,
     held: OrderedMutex<HashMap<TxnId, HashSet<LockName>>>,
-    /// Waits-for edges (waiter -> blockers), maintained only under
-    /// [`DeadlockPolicy::Detect`].
-    waits: OrderedMutex<HashMap<TxnId, HashSet<TxnId>>>,
-    policy: DeadlockPolicy,
     default_timeout: Duration,
     group: Group,
     stats: LockStats,
@@ -205,11 +178,6 @@ impl LockManager {
     /// Creates a manager with the given deadlock timeout (the paper's
     /// resolution policy).
     pub fn new(default_timeout: Duration) -> Self {
-        Self::with_policy(default_timeout, DeadlockPolicy::Timeout)
-    }
-
-    /// Creates a manager with an explicit deadlock policy.
-    pub fn with_policy(default_timeout: Duration, policy: DeadlockPolicy) -> Self {
         let group = Registry::new().group("lock");
         let stats = LockStats::new(&group);
         let wait_ns = group.histogram("wait.ns");
@@ -218,31 +186,11 @@ impl LockManager {
                 .map(|_| OrderedMutex::new(Rank::LockManagerShard, "lock.shard", HashMap::new()))
                 .collect(),
             held: OrderedMutex::new(Rank::LockManagerHeld, "lock.held", HashMap::new()),
-            waits: OrderedMutex::new(Rank::LockManagerWaits, "lock.waits", HashMap::new()),
-            policy,
             default_timeout,
             group,
             stats,
             wait_ns,
         }
-    }
-
-    /// Whether `waiter` can reach `target` through the waits-for graph.
-    fn reaches(waits: &HashMap<TxnId, HashSet<TxnId>>, from: TxnId, target: TxnId) -> bool {
-        let mut stack = vec![from];
-        let mut seen = HashSet::new();
-        while let Some(t) = stack.pop() {
-            if t == target {
-                return true;
-            }
-            if !seen.insert(t) {
-                continue;
-            }
-            if let Some(next) = waits.get(&t) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
     }
 
     /// The configured deadlock timeout.
@@ -292,27 +240,6 @@ impl LockManager {
         let waiter = {
             let mut shard = self.shard(&name).lock();
             let entry = shard.entry(name).or_default();
-            // Deadlock detection (ablation): refuse a wait that closes a
-            // cycle through the current holders.
-            if self.policy == DeadlockPolicy::Detect {
-                let blockers: HashSet<TxnId> = entry
-                    .granted
-                    .iter()
-                    .filter(|&&(t, m)| t != txn && !m.compatible(mode))
-                    .map(|&(t, _)| t)
-                    .collect();
-                if !blockers.is_empty() {
-                    let mut waits = self.waits.lock();
-                    if blockers
-                        .iter()
-                        .any(|&b| Self::reaches(&waits, b, txn))
-                    {
-                        self.stats.timeouts.inc();
-                        return Err(LockError::DeadlockDetected { txn, name });
-                    }
-                    waits.entry(txn).or_default().extend(blockers.iter());
-                }
-            }
             if let Some(pos) = entry.granted.iter().position(|(t, _)| *t == txn) {
                 let current = entry.granted[pos].1;
                 let needed = current.supremum(mode);
@@ -366,19 +293,16 @@ impl LockManager {
         loop {
             if matches!(*state, WaitState::Granted) {
                 drop(state);
-                self.waits.lock().remove(&txn);
                 self.record_held(txn, name);
                 return Ok(());
             }
             if waiter.cond.wait_until(state.raw(), deadline).timed_out() {
                 if matches!(*state, WaitState::Granted) {
                     drop(state);
-                    self.waits.lock().remove(&txn);
                     self.record_held(txn, name);
                     return Ok(());
                 }
                 drop(state);
-                self.waits.lock().remove(&txn);
                 // Remove ourselves from the queue; a racing grant may have
                 // happened between the timeout and taking the shard lock.
                 let mut shard = self.shard(&name).lock();
@@ -502,7 +426,6 @@ impl LockManager {
     /// Releases every lock held by `txn` — the strict-2PL release at commit
     /// or abort.
     pub fn unlock_all(&self, txn: TxnId) {
-        self.waits.lock().remove(&txn);
         let names: Vec<LockName> = {
             let mut held = self.held.lock();
             held.remove(&txn)
@@ -790,78 +713,11 @@ mod tests {
 
 #[cfg(test)]
 mod detect_tests {
+    //! Timeout-based deadlock detection (§3) must leave nothing behind.
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-    use std::time::Instant;
 
     fn page(p: u64) -> LockName {
         LockName::Page { area: 0, page: p }
-    }
-
-    #[test]
-    fn cycle_refused_immediately() {
-        let m = Arc::new(LockManager::with_policy(
-            Duration::from_secs(5),
-            DeadlockPolicy::Detect,
-        ));
-        m.lock(TxnId(1), page(1), LockMode::X).unwrap();
-        m.lock(TxnId(2), page(2), LockMode::X).unwrap();
-        // Txn 1 queues behind txn 2 on page 2.
-        let m1 = Arc::clone(&m);
-        let t1 = thread::spawn(move || m1.lock(TxnId(1), page(2), LockMode::X));
-        thread::sleep(Duration::from_millis(50));
-        // Txn 2 asking for page 1 would close the cycle: refused at once,
-        // long before any timeout could fire.
-        let t0 = Instant::now();
-        let r = m.lock(TxnId(2), page(1), LockMode::X);
-        assert!(matches!(r, Err(LockError::DeadlockDetected { .. })), "{r:?}");
-        assert!(t0.elapsed() < Duration::from_millis(100));
-        // The victim releases; txn 1 proceeds.
-        m.unlock_all(TxnId(2));
-        t1.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn no_false_positive_on_plain_contention() {
-        let m = Arc::new(LockManager::with_policy(
-            Duration::from_secs(5),
-            DeadlockPolicy::Detect,
-        ));
-        m.lock(TxnId(1), page(1), LockMode::X).unwrap();
-        let m2 = Arc::clone(&m);
-        let waiter = thread::spawn(move || m2.lock(TxnId(2), page(1), LockMode::X));
-        thread::sleep(Duration::from_millis(50));
-        m.unlock_all(TxnId(1));
-        waiter.join().unwrap().unwrap();
-        // A later unrelated request by txn 1 must not trip on stale edges.
-        m.lock(TxnId(1), page(9), LockMode::X).unwrap();
-    }
-
-    #[test]
-    fn three_party_cycle_detected() {
-        let m = Arc::new(LockManager::with_policy(
-            Duration::from_secs(5),
-            DeadlockPolicy::Detect,
-        ));
-        for t in 1..=3u64 {
-            m.lock(TxnId(t), page(t), LockMode::X).unwrap();
-        }
-        // 1 waits on 2, 2 waits on 3 (both block in threads).
-        let m1 = Arc::clone(&m);
-        let h1 = thread::spawn(move || m1.lock(TxnId(1), page(2), LockMode::X));
-        let m2 = Arc::clone(&m);
-        let h2 = thread::spawn(move || m2.lock(TxnId(2), page(3), LockMode::X));
-        thread::sleep(Duration::from_millis(80));
-        // 3 asking for 1 closes the 3-cycle.
-        assert!(matches!(
-            m.lock(TxnId(3), page(1), LockMode::X),
-            Err(LockError::DeadlockDetected { .. })
-        ));
-        m.unlock_all(TxnId(3));
-        h2.join().unwrap().unwrap();
-        m.unlock_all(TxnId(2));
-        h1.join().unwrap().unwrap();
     }
 
     /// Regression: a timed-out waiter must leave no ghost entry in the

@@ -56,6 +56,19 @@ pub enum LockName {
     },
 }
 
+impl LockName {
+    /// The storage area the resource lives in; database and file names
+    /// span areas and have none.
+    pub fn area(&self) -> Option<u32> {
+        match self {
+            LockName::Page { area, .. }
+            | LockName::Segment { area, .. }
+            | LockName::Object { area, .. } => Some(*area),
+            LockName::Database(_) | LockName::File { .. } => None,
+        }
+    }
+}
+
 impl fmt::Display for LockName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

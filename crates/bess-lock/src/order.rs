@@ -47,9 +47,6 @@ pub enum Rank {
     /// `LockManager::shards[i]` — a lock-table shard. At most one shard is
     /// held at a time (equal ranks conflict, which enforces that).
     LockManagerShard = 12,
-    /// `LockManager::waits` — the waits-for graph (Detect policy), taken
-    /// under a shard while classifying blockers.
-    LockManagerWaits = 14,
     /// `Waiter::state` — a waiter's grant flag, signalled under a shard.
     LockWaiter = 16,
     /// `LockCache::locks` — the client-side cached-lock table.
@@ -130,7 +127,6 @@ impl Rank {
     pub const ALL: &'static [Rank] = &[
         Rank::LockManagerHeld,
         Rank::LockManagerShard,
-        Rank::LockManagerWaits,
         Rank::LockWaiter,
         Rank::LockCache,
         Rank::ViewMap,
@@ -166,7 +162,6 @@ impl Rank {
         match self {
             Rank::LockManagerHeld => "LockManagerHeld",
             Rank::LockManagerShard => "LockManagerShard",
-            Rank::LockManagerWaits => "LockManagerWaits",
             Rank::LockWaiter => "LockWaiter",
             Rank::LockCache => "LockCache",
             Rank::ViewMap => "ViewMap",

@@ -18,8 +18,8 @@
 //!   [`Registry::adopt`], which clones the *handles* — values stay live.
 //! - Durations are histograms named `*.ns`; byte counters end in
 //!   `*_bytes`; everything else is a plain event counter.
-//! - Timing can be disabled at runtime ([`Registry::set_timing`]) or the
-//!   whole layer compiled out (feature `noop`) for overhead measurement.
+//! - Timing can be disabled at runtime ([`Registry::set_timing`]) for
+//!   overhead measurement.
 //!
 //! The feature-gated `obs-trace` journal (see [`journal`]) records
 //! span-style begin/end events on the commit and fault-wave paths into a
@@ -76,15 +76,7 @@ impl Counter {
     /// Adds `n`; returns the previous value.
     #[inline]
     pub fn add(&self, n: u64) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.0.fetch_add(n, Ordering::Relaxed)
-        }
-        #[cfg(feature = "noop")]
-        {
-            let _ = n;
-            0
-        }
+        self.0.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Current value.
@@ -107,19 +99,13 @@ impl Gauge {
     /// Sets the value outright.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "noop"))]
         self.0.store(v, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = v;
     }
 
     /// Adds `n` (may be negative via [`Gauge::sub`]).
     #[inline]
     pub fn add(&self, n: i64) {
-        #[cfg(not(feature = "noop"))]
         self.0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = n;
     }
 
     /// Subtracts `n`.
@@ -192,13 +178,8 @@ impl LatencyHistogram {
     /// Records one observation of `ns` nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-            self.0.sum.fetch_add(ns, Ordering::Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = ns;
+        self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.0.sum.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Whether the timing path is live.
@@ -213,8 +194,8 @@ impl LatencyHistogram {
     }
 
     /// Starts a timer that records into this histogram when dropped (or
-    /// explicitly [`Timer::stop`]ped). When timing is disabled — or the
-    /// crate is compiled with `noop` — no clock is read.
+    /// explicitly [`Timer::stop`]ped). When timing is disabled no clock is
+    /// read.
     #[inline]
     pub fn start(&self) -> Timer<'_> {
         self.start_if(true)
@@ -226,7 +207,7 @@ impl LatencyHistogram {
     /// near-zero steady-state cost while still populating p50/p99.
     #[inline]
     pub fn start_if(&self, sample: bool) -> Timer<'_> {
-        let armed = sample && cfg!(not(feature = "noop")) && self.timing();
+        let armed = sample && self.timing();
         Timer { start: armed.then(Instant::now), hist: self }
     }
 

@@ -13,6 +13,10 @@
 //! I/O over RPC), which lets the entire `bess-segment` object machinery run
 //! unchanged on a remote client.
 //!
+//! Its server-facing half — request ids, the retrying call, lease upkeep,
+//! routing, callback answers and commit routing — is the [`Upstream`] it
+//! shares with the node server; what stays here is transaction-scoped.
+//!
 //! The conversation with the servers is kept short:
 //!
 //! * transaction ids are allocated here, and a transaction's first frame
@@ -38,13 +42,14 @@ use std::time::{Duration, Instant};
 
 use bess_cache::{DbPage, PageIo};
 use bess_obs::{Counter, Group, LatencyHistogram, Registry};
-use bess_lock::{CacheDecision, CallbackResponse, LockCache, LockMode, LockName, TxnId};
-use bess_net::{Caller, NetError, Network, NodeId};
+use bess_lock::{CacheDecision, LockCache, LockMode, LockName, TxnId};
+use bess_net::{NetError, Network, NodeId};
 use bess_storage::{AreaId, DiskPtr, DiskSpace, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock};
 
 use crate::directory::Directory;
 use crate::proto::{Msg, PageUpdate};
+use crate::upstream::{answer_callback, Upstream, RETRY_BASE};
 
 /// Hook invoked when a callback releases a cached lock.
 pub type PurgeHook = Arc<dyn Fn(LockName) + Send + Sync>;
@@ -117,8 +122,6 @@ pub struct ClientConfig {
     /// server it has touched. Must be well under the servers'
     /// `lease_duration` or an idle client gets reaped.
     pub heartbeat_interval: Duration,
-    /// Transient-failure retries per RPC before giving up.
-    pub max_retries: u32,
     /// Base delay for the capped exponential retry backoff.
     pub retry_base: Duration,
 }
@@ -134,8 +137,7 @@ impl ClientConfig {
             page_size: bess_storage::PAGE_SIZE,
             gateway: None,
             heartbeat_interval: Duration::from_millis(500),
-            max_retries: 3,
-            retry_base: Duration::from_millis(10),
+            retry_base: RETRY_BASE,
         }
     }
 }
@@ -191,8 +193,7 @@ impl ClientStats {
 /// A client machine's connection to the BeSS servers.
 pub struct ClientConn {
     cfg: ClientConfig,
-    dir: Arc<Directory>,
-    caller: Caller<Msg>,
+    up: Upstream,
     lock_cache: Arc<LockCache>,
     overlay: Mutex<HashMap<DbPage, Vec<u8>>>,
     current_txn: Mutex<Option<u64>>,
@@ -200,11 +201,6 @@ pub struct ClientConn {
     /// Servers the active transaction has already contacted: each one got
     /// its begin notice.
     txn_contacts: Mutex<HashSet<NodeId>>,
-    /// Lock requests currently in flight. A callback that races the grant
-    /// of one of these must be deferred, not answered "not cached" — the
-    /// server may have granted us the lock an instant ago.
-    pending_locks: Mutex<std::collections::HashSet<LockName>>,
-    raced_callbacks: Mutex<std::collections::HashSet<LockName>>,
     /// Called when a callback releases a page lock so the owning pool can
     /// drop its copy of the page (cache consistency).
     purge_hook: RwLock<Option<PurgeHook>>,
@@ -212,15 +208,6 @@ pub struct ClientConn {
     /// session runs software object-level locking and serialises on object
     /// locks instead).
     read_mode: Mutex<LockMode>,
-    /// This connection's incarnation number, folded into the high bits of
-    /// every request id so the server's dedup window — keyed on
-    /// `(node, req)` — can never answer a reconnected client with a reply
-    /// recorded for a previous incarnation of the same node id.
-    incarnation: u64,
-    /// Low-bits request counter for the non-idempotent messages (commits);
-    /// see [`Self::fresh_req`].
-    // LINT: allow(raw-counter) — request-id allocator for idempotent retry, not a metric
-    next_req: AtomicU64,
     /// Sequence for client-allocated transaction ids.
     // LINT: allow(raw-counter) — txn-id allocator, not a metric
     next_local_txn: AtomicU64,
@@ -236,10 +223,6 @@ pub struct ClientConn {
     /// Servers whose locks a read-only 2PC vote already released;
     /// end-of-transaction skips them.
     released_by_vote: Mutex<HashSet<NodeId>>,
-    /// Last time any message went to each server. The listener suppresses
-    /// a standalone heartbeat when real traffic already renewed the lease
-    /// within the heartbeat interval.
-    last_sent: Mutex<HashMap<u32, Instant>>,
     running: Arc<AtomicBool>,
     listener: Mutex<Option<JoinHandle<()>>>,
     group: Group,
@@ -247,48 +230,6 @@ pub struct ClientConn {
     /// Full client-observed round-trip of a commit RPC, send to reply
     /// (`client.commit.rtt.ns`).
     commit_rtt_ns: LatencyHistogram,
-}
-
-/// Incarnation source for request ids. Every connection — client or node
-/// server — draws a distinct value, so a process that crashes and
-/// reconnects under the same [`NodeId`] issues request ids disjoint from
-/// its previous life and cannot be answered from the server's dedup window
-/// with a dead incarnation's recorded reply. Starts at 1 so an id built
-/// from it is never 0 (`req == 0` opts out of deduplication). The network
-/// is in-process, so a process-wide counter covers every reconnect the
-/// fault matrix can produce — deterministically, with no randomness.
-// LINT: allow(raw-counter) — process-wide incarnation-id allocator, not a metric
-static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(1);
-
-/// Draws a fresh connection incarnation (also used by the node server's
-/// shipping path, which carries its own request-id counter).
-pub(crate) fn fresh_incarnation() -> u64 {
-    NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Builds a request id from an incarnation and a per-connection sequence
-/// number: incarnation in the high 32 bits, sequence in the low 32. The
-/// incarnation is nonzero, so the id is never the `req == 0` opt-out.
-pub(crate) fn make_req(incarnation: u64, seq: u64) -> u64 {
-    ((incarnation & 0xFFFF_FFFF) << 32) | (seq & 0xFFFF_FFFF)
-}
-
-/// Capped exponential backoff with deterministic jitter: `base << attempt`
-/// clamped to 500ms, spread by a hash of `(node, attempt)` so retrying
-/// clients don't stampede in lockstep — with no randomness, so fault
-/// schedules stay reproducible.
-fn backoff_delay(base: Duration, attempt: u32, node: u32) -> Duration {
-    let shift = attempt.saturating_sub(1).min(6);
-    let capped = base
-        .saturating_mul(1u32 << shift)
-        .min(Duration::from_millis(500));
-    let mut h = (u64::from(node) << 32) | u64::from(attempt);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    // LINT: allow(cast) — capped at 500ms, far below u64 microseconds.
-    let jitter_us = h % ((capped.as_micros() as u64) / 4 + 1);
-    capped + Duration::from_micros(jitter_us)
 }
 
 impl ClientConn {
@@ -301,25 +242,27 @@ impl ClientConn {
         let endpoint = net.register(cfg.node);
         let group = Registry::new().group("client");
         let conn = Arc::new(ClientConn {
-            caller: net.caller(cfg.node),
+            up: Upstream::new(
+                net.caller(cfg.node),
+                dir,
+                cfg.gateway,
+                cfg.rpc_timeout,
+                cfg.retry_base,
+                cfg.heartbeat_interval,
+                &group,
+            ),
             cfg,
-            dir,
             lock_cache: Arc::new(LockCache::new()),
             overlay: Mutex::new(HashMap::new()),
             current_txn: Mutex::new(None),
             servers_touched: Mutex::new(HashSet::new()),
             txn_contacts: Mutex::new(HashSet::new()),
-            pending_locks: Mutex::new(std::collections::HashSet::new()),
-            raced_callbacks: Mutex::new(std::collections::HashSet::new()),
             purge_hook: RwLock::new(None),
             read_mode: Mutex::new(LockMode::S),
-            incarnation: fresh_incarnation(),
-            next_req: AtomicU64::new(1),
             next_local_txn: AtomicU64::new(1),
             gtxn_pool: Mutex::new(Vec::new()),
             pending_releases: Mutex::new(HashMap::new()),
             released_by_vote: Mutex::new(HashSet::new()),
-            last_sent: Mutex::new(HashMap::new()),
             running: Arc::new(AtomicBool::new(true)),
             listener: Mutex::new(None),
             stats: ClientStats::new(&group),
@@ -334,7 +277,6 @@ impl ClientConn {
         let listener_conn = Arc::clone(&conn);
         let running = Arc::clone(&conn.running);
         let handle = std::thread::spawn(move || {
-            let mut last_heartbeat = Instant::now();
             while running.load(Ordering::Relaxed) {
                 match endpoint.recv(Duration::from_millis(50)) {
                     Ok(env) => {
@@ -346,10 +288,14 @@ impl ClientConn {
                         // carrier, then renew our lease at every server
                         // that could be holding state for us.
                         listener_conn.flush_stale_releases();
-                        if last_heartbeat.elapsed() >= listener_conn.cfg.heartbeat_interval {
-                            last_heartbeat = Instant::now();
-                            listener_conn.send_heartbeats();
-                        }
+                        listener_conn.up.renew_leases(|| {
+                            let mut targets: HashSet<NodeId> =
+                                listener_conn.servers_touched.lock().clone();
+                            targets.insert(
+                                listener_conn.cfg.gateway.unwrap_or(listener_conn.cfg.home),
+                            );
+                            targets.into_iter().collect()
+                        });
                     }
                     Err(_) => break,
                 }
@@ -401,103 +347,12 @@ impl ClientConn {
     }
 
     fn handle_callback(&self, msg: &Msg) -> Msg {
-        match msg {
-            Msg::Callback { name } => {
-                self.stats.callbacks.inc();
-                match self.lock_cache.callback(*name) {
-                    CallbackResponse::Released => {
-                        if let Some(hook) = self.purge_hook.read().clone() {
-                            hook(*name);
-                        }
-                        Msg::CallbackReleased
-                    }
-                    CallbackResponse::NotCached => {
-                        // The grant may be in flight: defer until the
-                        // request completes and the lock lands in the
-                        // cache.
-                        if self.pending_locks.lock().contains(name) {
-                            self.raced_callbacks.lock().insert(*name);
-                            Msg::CallbackDeferred
-                        } else {
-                            if let Some(hook) = self.purge_hook.read().clone() {
-                                hook(*name);
-                            }
-                            Msg::CallbackReleased
-                        }
-                    }
-                    CallbackResponse::Deferred => Msg::CallbackDeferred,
-                }
+        self.stats.callbacks.inc();
+        answer_callback(&self.lock_cache, msg, |name| {
+            if let Some(hook) = self.purge_hook.read().clone() {
+                hook(name);
             }
-            Msg::CallbackDowngrade { name, to } => {
-                self.stats.callbacks.inc();
-                if self.lock_cache.callback_downgrade(*name, *to) {
-                    // The page content stays valid for reading; no purge.
-                    Msg::CallbackReleased
-                } else {
-                    Msg::CallbackDeferred
-                }
-            }
-            other => Msg::Err(format!("client got unexpected message: {other:?}")),
-        }
-    }
-
-    /// Completes an in-flight lock request: if a callback raced it, mark
-    /// the (now cached) lock for release when its users finish.
-    fn finish_pending(&self, name: LockName) {
-        self.pending_locks.lock().remove(&name);
-        if self.raced_callbacks.lock().remove(&name) {
-            self.lock_cache.mark_callback_pending(name);
-        }
-    }
-
-    fn owner_of(&self, area: u32) -> ClientResult<NodeId> {
-        if let Some(gw) = self.cfg.gateway {
-            return Ok(gw);
-        }
-        self.dir.owner(area).ok_or(ClientError::NoOwner(area))
-    }
-
-    fn owner_of_name(&self, name: &LockName) -> ClientResult<NodeId> {
-        if let Some(gw) = self.cfg.gateway {
-            return Ok(gw);
-        }
-        match name {
-            LockName::Page { area, .. }
-            | LockName::Segment { area, .. }
-            | LockName::Object { area, .. } => self.owner_of(*area),
-            LockName::Database(_) | LockName::File { .. } => Ok(self.cfg.home),
-        }
-    }
-
-    /// One-way lease renewals to the home/gateway server and every server
-    /// touched so far. A server renews the lease on *every* message, so a
-    /// standalone heartbeat is pure overhead whenever real traffic went to
-    /// that server recently — those are suppressed and counted under
-    /// `net.heartbeats.suppressed`.
-    fn send_heartbeats(&self) {
-        let mut targets: HashSet<NodeId> = self.servers_touched.lock().clone();
-        targets.insert(self.cfg.gateway.unwrap_or(self.cfg.home));
-        let now = Instant::now();
-        for t in targets {
-            let recent = self
-                .last_sent
-                .lock()
-                .get(&t.0)
-                .is_some_and(|at| now.duration_since(*at) < self.cfg.heartbeat_interval);
-            if recent {
-                self.caller.stats().heartbeats_suppressed.inc();
-                continue;
-            }
-            if self.caller.send(t, Msg::Heartbeat).is_ok() {
-                self.note_sent(t);
-                self.stats.heartbeats.inc();
-            }
-        }
-    }
-
-    /// Records outbound traffic to `to` (feeds heartbeat suppression).
-    fn note_sent(&self, to: NodeId) {
-        self.last_sent.lock().insert(to.0, Instant::now());
+        })
     }
 
     /// Sends any `ReleaseAll` debts that have waited longer than a
@@ -523,8 +378,7 @@ impl ClientConn {
             // lease like any other message. It may race the next
             // transaction's first frame there; the server ignores it if
             // that frame's begin notice wins.
-            let _ = self.caller.send(server, Msg::ReleaseAll { txn });
-            self.note_sent(server);
+            self.up.send(server, Msg::ReleaseAll { txn });
         }
     }
 
@@ -548,32 +402,18 @@ impl ClientConn {
     /// Absorbs a reply's trailers (gtxn-pool refills), returning the
     /// carrier reply.
     fn absorb_reply(&self, reply: Msg) -> Msg {
-        match reply {
-            Msg::WithTrailers { msg, trailers } => {
-                self.caller.stats().trailers.add(trailers.len() as u64);
-                for t in trailers {
-                    if let Msg::TxnId(g) = t {
-                        self.gtxn_pool.lock().push(g);
-                    }
-                }
-                *msg
+        let (reply, trailers) = reply.split_trailers();
+        self.up.caller().stats().trailers.add(trailers.len() as u64);
+        for t in trailers {
+            if let Msg::TxnId(g) = t {
+                self.gtxn_pool.lock().push(g);
             }
-            m => m,
         }
+        reply
     }
 
-    /// A fresh request id for a non-idempotent RPC (see [`make_req`]).
-    fn fresh_req(&self) -> u64 {
-        make_req(self.incarnation, self.next_req.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Sends one RPC, retrying transient transport failures with capped
-    /// exponential backoff. Only requests that are idempotent (reads,
-    /// locks, releases, raw I/O replays) or deduplicated by the server
-    /// (commits, which carry a request id) are retried. `AllocSegment` and
-    /// `FreeSegment` are neither, so they fail fast: a retried alloc whose
-    /// first delivery executed leaks a segment, and a retried free can
-    /// free a segment another client was handed in the meantime.
+    /// Sends one RPC through the upstream path (which retries transient
+    /// failures; see [`Upstream::call`]).
     fn rpc(&self, to: NodeId, msg: Msg) -> ClientResult<Msg> {
         self.rpc_with_trailers(to, msg, Vec::new())
     }
@@ -587,47 +427,28 @@ impl ClientConn {
         mut trailers: Vec<Msg>,
     ) -> ClientResult<Msg> {
         self.servers_touched.lock().insert(to);
-        let retryable = !matches!(msg, Msg::AllocSegment { .. } | Msg::FreeSegment { .. });
-        // Piggyback any control debt for this server on the frame. A
-        // retried frame re-runs non-deduplicated trailers server-side;
-        // everything we attach here (`ReleaseAll`, the begin notice) is
-        // idempotent, and deduplicated carriers never re-run their
-        // trailers at all.
+        // Piggyback any control debt for this server on the frame.
         trailers.extend(self.take_trailers_for(to, &msg));
         let noticed = trailers.iter().any(|t| matches!(t, Msg::BeginTxn { .. }));
-        let msg = Msg::with_trailers(msg, trailers);
-        self.note_sent(to);
-        let mut attempt = 0u32;
-        loop {
-            match self.caller.call(to, msg.clone(), self.cfg.rpc_timeout) {
-                Ok(reply) => {
-                    let reply = self.absorb_reply(reply);
-                    if noticed && matches!(reply, Msg::Err(_)) {
-                        // A refused notice refuses its carrier: the
-                        // transaction was not admitted there, so the next
-                        // frame carries the notice again (and a draining
-                        // server refuses that one too).
-                        self.txn_contacts.lock().remove(&to);
-                    }
-                    return Ok(reply);
+        match self.up.call(to, Msg::with_trailers(msg, trailers)) {
+            Ok(reply) => {
+                let reply = self.absorb_reply(reply);
+                if noticed && matches!(reply, Msg::Err(_)) {
+                    // A refused notice refuses its carrier: the
+                    // transaction was not admitted there, so the next
+                    // frame carries the notice again (and a draining
+                    // server refuses that one too).
+                    self.txn_contacts.lock().remove(&to);
                 }
-                Err(e) if retryable && e.is_transient() && attempt < self.cfg.max_retries => {
-                    attempt += 1;
-                    self.stats.retries.inc();
-                    std::thread::sleep(backoff_delay(
-                        self.cfg.retry_base,
-                        attempt,
-                        self.cfg.node.0,
-                    ));
+                Ok(reply)
+            }
+            Err(e) => {
+                if noticed {
+                    // The notice may never have arrived: the next frame
+                    // there carries it again.
+                    self.txn_contacts.lock().remove(&to);
                 }
-                Err(e) => {
-                    if noticed {
-                        // The notice may never have arrived: the next
-                        // frame there carries it again.
-                        self.txn_contacts.lock().remove(&to);
-                    }
-                    return Err(e.into());
-                }
+                Err(e.into())
             }
         }
     }
@@ -663,21 +484,9 @@ impl ClientConn {
             }
             CacheDecision::Miss { need } => {
                 self.stats.lock_rpcs.inc();
-                let owner = self.owner_of_name(&name)?;
-                self.pending_locks.lock().insert(name);
-                let reply = self.rpc(owner, Msg::Lock { name, mode: need });
-                let out = match reply {
-                    Ok(Msg::Granted) => {
-                        self.lock_cache.grant(TxnId(txn), name, need);
-                        Ok(())
-                    }
-                    Ok(Msg::Denied(m)) => Err(ClientError::Denied(m)),
-                    Ok(Msg::Err(e)) => Err(ClientError::Server(e)),
-                    Ok(other) => Err(ClientError::Server(format!("bad reply {other:?}"))),
-                    Err(e) => Err(e),
-                };
-                self.finish_pending(name);
-                out
+                let owner = self.up.lock_owner(&name);
+                self.remote_acquire(txn, name, need, owner, Msg::Lock { name, mode: need })
+                    .map(drop)
             }
         }
     }
@@ -709,21 +518,35 @@ impl ClientConn {
             }
             CacheDecision::Miss { need } => {
                 self.stats.fetch_rpcs.inc();
-                let owner = self.owner_of(page.area)?;
-                self.pending_locks.lock().insert(name);
-                let reply = self.rpc(owner, Msg::FetchPage { page, mode: need });
-                let out = match reply {
-                    Ok(Msg::PageData(data)) => {
-                        self.lock_cache.grant(TxnId(txn), name, need);
-                        Ok(data)
-                    }
-                    Ok(Msg::Denied(m)) => Err(ClientError::Denied(m)),
-                    Ok(Msg::Err(e)) => Err(ClientError::Server(e)),
-                    Ok(other) => Err(ClientError::Server(format!("bad reply {other:?}"))),
-                    Err(e) => Err(e),
-                };
-                self.finish_pending(name);
-                out
+                let owner = self.up.owner(page.area);
+                let msg = Msg::FetchPage { page, mode: need };
+                match self.remote_acquire(txn, name, need, owner, msg)? {
+                    Msg::PageData(data) => Ok(data),
+                    other => Err(refusal(Ok(other))),
+                }
+            }
+        }
+    }
+
+    /// Sends `msg`, a request for lock `name` in mode `need` that missed
+    /// the lock cache, to `owner`. A grant lands in the cache; any other
+    /// outcome ends the cache's in-flight request.
+    fn remote_acquire(
+        &self,
+        txn: u64,
+        name: LockName,
+        need: LockMode,
+        owner: ClientResult<NodeId>,
+        msg: Msg,
+    ) -> ClientResult<Msg> {
+        match owner.and_then(|owner| self.rpc(owner, msg)) {
+            Ok(reply @ (Msg::Granted | Msg::PageData(_))) => {
+                self.lock_cache.grant(TxnId(txn), name, need);
+                Ok(reply)
+            }
+            other => {
+                self.lock_cache.abandon(name);
+                Err(refusal(other))
             }
         }
     }
@@ -734,7 +557,7 @@ impl ClientConn {
             return Ok(data.clone());
         }
         self.stats.read_rpcs.inc();
-        let owner = self.owner_of(page.area)?;
+        let owner = self.up.owner(page.area)?;
         match self.rpc(owner, Msg::ReadPage { page })? {
             Msg::PageData(data) => Ok(data),
             Msg::Err(e) => Err(ClientError::Server(e)),
@@ -751,34 +574,8 @@ impl ClientConn {
         // Times the whole commit conversation — single-server fast path or
         // coordinated 2PC — as the client observes it, retries included.
         let _timer = self.commit_rtt_ns.start();
-        let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
-        for u in updates {
-            by_owner.entry(self.owner_of(u.page.area)?).or_default().push(u);
-        }
-        // A single write owner normally takes the one-message fast path; a
-        // non-caching transaction that also *read* from other servers goes
-        // through 2PC anyway, so those servers join the round as read-only
-        // participants and shed their locks at phase 1 instead of waiting
-        // for a ReleaseAll.
-        let enrol_readers = !self.effective_caching()
-            && self
-                .servers_touched
-                .lock()
-                .iter()
-                .any(|s| !by_owner.contains_key(s));
-        let result = match by_owner.len() {
-            0 => Ok(()),
-            1 if !enrol_readers => {
-                let (owner, updates) = by_owner.into_iter().next().expect("one entry");
-                let req = self.fresh_req();
-                match self.rpc(owner, Msg::Commit { txn, updates, req })? {
-                    Msg::Ok => Ok(()),
-                    Msg::Err(e) => Err(ClientError::Server(e)),
-                    other => Err(ClientError::Server(format!("bad reply {other:?}"))),
-                }
-            }
-            _ => self.commit_global(by_owner),
-        };
+        let by_owner = self.up.by_owner(updates)?;
+        let result = self.ship(txn, by_owner);
         // Only an acknowledged commit counts as a commit; a rejection or
         // global abort is a distinct outcome (previously both paths bumped
         // `client.commits`, so the counter drifted from reality under
@@ -792,74 +589,46 @@ impl ClientConn {
         result
     }
 
-    /// Distributed commit: one `CommitGlobal` frame to the home server
-    /// carrying every write branch. The global id comes from the
-    /// prefetched pool (a `BeginGlobal` trailer on this frame refills it;
-    /// an empty pool costs one explicit round trip). A non-caching client
-    /// also enrols every server it touched, so read-only voters release
-    /// its locks at phase 1.
-    fn commit_global(&self, by_owner: HashMap<NodeId, Vec<PageUpdate>>) -> ClientResult<()> {
-        let release_read_locks = !self.effective_caching();
-        let pooled = self.gtxn_pool.lock().pop();
-        let gtxn = match pooled {
-            Some(g) => g,
+    /// Routes the commit through [`Upstream::commit`]. A non-caching
+    /// transaction that also *read* from servers it does not write enrols
+    /// them, so they join a 2PC round as read-only participants and shed
+    /// its locks at phase 1 instead of waiting for a `ReleaseAll`. A
+    /// distributed commit's global id comes from the prefetched pool (a
+    /// `BeginGlobal` trailer on the commit frame refills it; an empty pool
+    /// costs one explicit round trip to the home server).
+    fn ship(&self, txn: u64, by_owner: HashMap<NodeId, Vec<PageUpdate>>) -> ClientResult<()> {
+        let readers: Vec<NodeId> = if self.effective_caching() {
+            Vec::new()
+        } else {
+            let touched = self.servers_touched.lock();
+            touched
+                .iter()
+                .filter(|s| !by_owner.contains_key(s))
+                .copied()
+                .collect()
+        };
+        let gtxn = |_| match self.gtxn_pool.lock().pop() {
+            Some(g) => Ok(g),
             None => match self.rpc(self.cfg.home, Msg::BeginGlobal)? {
-                Msg::TxnId(g) => g,
-                other => return Err(ClientError::Server(format!("bad reply {other:?}"))),
+                Msg::TxnId(g) => Ok(g),
+                other => Err(ClientError::Server(format!("bad reply {other:?}"))),
             },
         };
-        let mut participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
-        if release_read_locks {
-            for s in self.servers_touched.lock().iter() {
-                if !participants.contains(&s.0) {
-                    participants.push(s.0);
-                }
+        let send = |to, msg| {
+            let mut trailers = Vec::new();
+            if matches!(msg, Msg::CommitGlobal { .. }) && self.gtxn_pool.lock().is_empty() {
+                trailers.push(Msg::BeginGlobal);
             }
+            self.rpc_with_trailers(to, msg, trailers)
+        };
+        let result = self.up.commit(txn, by_owner, &readers, gtxn, send);
+        if matches!(result, Ok(()) | Err(ClientError::GlobalAbort)) {
+            // Phase 1 ran whatever the outcome: the read-only participants
+            // released our locks when they voted, so the end-of-transaction
+            // ReleaseAll skips them. Write participants keep our grants.
+            self.released_by_vote.lock().extend(readers);
         }
-        participants.sort_unstable();
-        let write_owners: HashSet<u32> = by_owner.keys().map(|n| n.0).collect();
-        let mut branches: Vec<(u32, Vec<PageUpdate>)> =
-            by_owner.into_iter().map(|(owner, updates)| (owner.0, updates)).collect();
-        branches.sort_unstable_by_key(|(p, _)| *p);
-        let mut commit_trailers: Vec<Msg> = Vec::new();
-        if self.gtxn_pool.lock().is_empty() {
-            commit_trailers.push(Msg::BeginGlobal);
-        }
-        let req = self.fresh_req();
-        let reply = self.rpc_with_trailers(
-            self.cfg.home,
-            Msg::CommitGlobal {
-                gtxn,
-                participants: participants.clone(),
-                req,
-                release_read_locks,
-                branches,
-            },
-            commit_trailers,
-        )?;
-        match reply {
-            Msg::Decision { committed } => {
-                if release_read_locks {
-                    // Read-only participants released our locks when they
-                    // voted — phase 1 ran whatever the outcome, so the
-                    // end-of-transaction ReleaseAll can skip them. Write
-                    // participants keep our grants until then.
-                    let mut released = self.released_by_vote.lock();
-                    for p in &participants {
-                        if !write_owners.contains(p) {
-                            released.insert(NodeId(*p));
-                        }
-                    }
-                }
-                if committed {
-                    Ok(())
-                } else {
-                    Err(ClientError::GlobalAbort)
-                }
-            }
-            Msg::Err(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Server(format!("bad reply {other:?}"))),
-        }
+        result
     }
 
     /// Aborts the active transaction: uncommitted pages are discarded and
@@ -887,18 +656,10 @@ impl ClientConn {
         if self.effective_caching() {
             // Locks stay cached; answer deferred callbacks now.
             let released = self.lock_cache.finish_txn(TxnId(txn));
-            let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();
-            for name in released {
-                if let Some(hook) = self.purge_hook.read().clone() {
-                    hook(name);
-                }
-                if let Ok(owner) = self.owner_of_name(&name) {
-                    by_owner.entry(owner).or_default().push(name);
-                }
+            if let Some(hook) = self.purge_hook.read().clone() {
+                released.iter().for_each(|name| hook(*name));
             }
-            for (owner, names) in by_owner {
-                let _ = self.rpc(owner, Msg::ReleaseCached { names });
-            }
+            self.up.release_cached(released);
         } else {
             // Transaction-duration caching (§3): drop everything. Servers
             // whose read-only 2PC vote already released our locks are
@@ -931,22 +692,13 @@ impl ClientConn {
             .map(|(n, (txn, _))| (n, txn))
             .collect();
         for (server, txn) in owed {
-            let _ = self.caller.call(server, Msg::ReleaseAll { txn }, self.cfg.rpc_timeout);
+            let _ = self.up.call(server, Msg::ReleaseAll { txn });
         }
-        let names = self.lock_cache.clear();
-        let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();
-        for name in names {
-            if let Ok(owner) = self.owner_of_name(&name) {
-                by_owner.entry(owner).or_default().push(name);
-            }
-        }
-        for (owner, names) in by_owner {
-            let _ = self.caller.call(
-                owner,
-                Msg::ReleaseCached { names },
-                self.cfg.rpc_timeout,
-            );
-        }
+        self.up.release_cached(self.lock_cache.clear());
+        self.stop_listener();
+    }
+
+    fn stop_listener(&self) {
         self.running.store(false, Ordering::Relaxed);
         if let Some(h) = self.listener.lock().take() {
             let _ = h.join();
@@ -970,12 +722,19 @@ impl ClientConn {
     }
 }
 
+/// The error for a lock or fetch request that was not granted.
+fn refusal(reply: ClientResult<Msg>) -> ClientError {
+    match reply {
+        Ok(Msg::Denied(m)) => ClientError::Denied(m),
+        Ok(Msg::Err(e)) => ClientError::Server(e),
+        Ok(other) => ClientError::Server(format!("bad reply {other:?}")),
+        Err(e) => e,
+    }
+}
+
 impl Drop for ClientConn {
     fn drop(&mut self) {
-        self.running.store(false, Ordering::Relaxed);
-        if let Some(h) = self.listener.lock().take() {
-            let _ = h.join();
-        }
+        self.stop_listener();
     }
 }
 
@@ -1007,21 +766,30 @@ impl PageIo for RemoteIo {
 /// I/O are served by the owning servers via RPC.
 pub struct RemoteSpace(pub Arc<ClientConn>);
 
+impl RemoteSpace {
+    /// Sends a disk request to the server owning `area`. Transport and
+    /// server errors come back as storage errors.
+    fn call(&self, area: u32, msg: Msg) -> StorageResult<Msg> {
+        let corrupt = |e: ClientError| StorageError::Corrupt(e.to_string());
+        let owner = self.0.up.owner(area).map_err(corrupt)?;
+        match self.0.rpc(owner, msg).map_err(corrupt)? {
+            Msg::Err(e) => Err(StorageError::Corrupt(e)),
+            reply => Ok(reply),
+        }
+    }
+}
+
+fn bad_reply(reply: Msg) -> StorageError {
+    StorageError::Corrupt(format!("bad reply {reply:?}"))
+}
+
 impl DiskSpace for RemoteSpace {
     fn page_size(&self) -> usize {
         self.0.cfg.page_size
     }
 
     fn alloc(&self, area: u32, pages: u32) -> StorageResult<DiskPtr> {
-        let owner = self
-            .0
-            .owner_of(area)
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        match self
-            .0
-            .rpc(owner, Msg::AllocSegment { area, pages })
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?
-        {
+        match self.call(area, Msg::AllocSegment { area, pages })? {
             Msg::DiskSeg {
                 area,
                 start_page,
@@ -1031,84 +799,50 @@ impl DiskSpace for RemoteSpace {
                 start_page,
                 pages,
             }),
-            Msg::Err(e) => Err(StorageError::Corrupt(e)),
-            other => Err(StorageError::Corrupt(format!("bad reply {other:?}"))),
+            other => Err(bad_reply(other)),
         }
     }
 
     fn free(&self, ptr: DiskPtr) -> StorageResult<()> {
-        let owner = self
-            .0
-            .owner_of(ptr.area.0)
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        match self
-            .0
-            .rpc(
-                owner,
-                Msg::FreeSegment {
-                    area: ptr.area.0,
-                    start_page: ptr.start_page,
-                    pages: ptr.pages,
-                },
-            )
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?
-        {
+        let msg = Msg::FreeSegment {
+            area: ptr.area.0,
+            start_page: ptr.start_page,
+            pages: ptr.pages,
+        };
+        match self.call(ptr.area.0, msg)? {
             Msg::Ok => Ok(()),
-            Msg::Err(e) => Err(StorageError::Corrupt(e)),
-            other => Err(StorageError::Corrupt(format!("bad reply {other:?}"))),
+            other => Err(bad_reply(other)),
         }
     }
 
     fn read_at(&self, area: u32, page: u64, offset: usize, buf: &mut [u8]) -> StorageResult<()> {
-        let owner = self
-            .0
-            .owner_of(area)
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        match self
-            .0
-            .rpc(
-                owner,
-                Msg::ReadAt {
-                    area,
-                    page,
-                    // LINT: allow(cast) — `offset` lies within one page, far below u32::MAX.
-                    offset: offset as u32,
-                    len: buf.len() as u32,
-                },
-            )
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?
-        {
+        let msg = Msg::ReadAt {
+            area,
+            page,
+            // LINT: allow(cast) — `offset` lies within one page, far below u32::MAX.
+            offset: offset as u32,
+            len: buf.len() as u32,
+        };
+        match self.call(area, msg)? {
             Msg::Bytes(data) => {
                 buf.copy_from_slice(&data);
                 Ok(())
             }
-            Msg::Err(e) => Err(StorageError::Corrupt(e)),
-            other => Err(StorageError::Corrupt(format!("bad reply {other:?}"))),
+            other => Err(bad_reply(other)),
         }
     }
 
     fn write_at(&self, area: u32, page: u64, offset: usize, data: &[u8]) -> StorageResult<()> {
-        let owner = self
-            .0
-            .owner_of(area)
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        match self
-            .0
-            .rpc(
-                owner,
-                Msg::WriteAt {
-                    area,
-                    page,
-                    // LINT: allow(cast) — `offset` lies within one page, far below u32::MAX.
-                    offset: offset as u32,
-                    data: data.to_vec(),
-                },
-            )
-            .map_err(|e| StorageError::Corrupt(e.to_string()))?
-        {
+        let msg = Msg::WriteAt {
+            area,
+            page,
+            // LINT: allow(cast) — `offset` lies within one page, far below u32::MAX.
+            offset: offset as u32,
+            data: data.to_vec(),
+        };
+        match self.call(area, msg)? {
             Msg::Ok => Ok(()),
-            Msg::Err(e) => Err(StorageError::Corrupt(e)),
-            other => Err(StorageError::Corrupt(format!("bad reply {other:?}"))),
+            other => Err(bad_reply(other)),
         }
     }
 }

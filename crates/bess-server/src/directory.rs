@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use bess_lock::LockName;
 use bess_net::NodeId;
 use parking_lot::RwLock;
 
@@ -29,6 +30,16 @@ impl Directory {
     /// The owner of `area`.
     pub fn owner(&self, area: u32) -> Option<NodeId> {
         self.owners.read().get(&area).copied()
+    }
+
+    /// The server that grants locks on `name`: the owner of its area, and
+    /// for the area-less database and file names the lowest-numbered
+    /// server, so every client and node server agrees where they live.
+    pub fn lock_owner(&self, name: &LockName) -> Option<NodeId> {
+        match name.area() {
+            Some(area) => self.owner(area),
+            None => self.servers().first().copied(),
+        }
     }
 
     /// Every known area, sorted.
@@ -61,5 +72,9 @@ mod tests {
         assert_eq!(dir.owner(9), None);
         assert_eq!(dir.areas(), vec![0, 1, 2]);
         assert_eq!(dir.servers(), vec![NodeId(10), NodeId(20)]);
+        let page = LockName::Page { area: 2, page: 7 };
+        assert_eq!(dir.lock_owner(&page), Some(NodeId(20)));
+        let file = LockName::File { db: 0, file: 1 };
+        assert_eq!(dir.lock_owner(&file), Some(NodeId(10)));
     }
 }

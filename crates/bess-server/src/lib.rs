@@ -27,6 +27,7 @@ mod nodeserver;
 mod proto;
 mod scrub;
 mod server;
+mod upstream;
 
 pub use client::{
     ClientConfig, ClientConn, ClientError, ClientResult, ClientStats, RemoteIo, RemoteSpace,
@@ -60,15 +61,20 @@ mod tests {
         set
     }
 
-    struct World {
-        net: Arc<Network<Msg>>,
-        dir: Arc<Directory>,
-        servers: Vec<BessServer>,
+    pub(super) struct World {
+        pub(super) net: Arc<Network<Msg>>,
+        pub(super) dir: Arc<Directory>,
+        pub(super) servers: Vec<BessServer>,
     }
 
     /// One server per entry; entry i owns the listed areas.
-    fn world(server_areas: &[&[u32]]) -> World {
-        let net = Network::new(Duration::ZERO);
+    pub(super) fn world(server_areas: &[&[u32]]) -> World {
+        world_with_latency(server_areas, Duration::ZERO)
+    }
+
+    /// [`world`] on a network that delays every message by `latency`.
+    pub(super) fn world_with_latency(server_areas: &[&[u32]], latency: Duration) -> World {
+        let net = Network::new(latency);
         let dir = Arc::new(Directory::new());
         let mut servers = Vec::new();
         for (i, areas) in server_areas.iter().enumerate() {
@@ -93,18 +99,31 @@ mod tests {
         ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg)
     }
 
+    /// A local application that reaches everything through node server
+    /// `ns` (caching on, as everywhere on a node-server node).
+    pub(super) fn gateway_app(
+        net: &Arc<Network<Msg>>,
+        dir: &Arc<Directory>,
+        ns: &NodeServer,
+        node: u32,
+    ) -> Arc<ClientConn> {
+        let mut cfg = ClientConfig::new(NodeId(node), ns.node());
+        cfg.gateway = Some(ns.node());
+        ClientConn::connect(net, Arc::clone(dir), cfg)
+    }
+
     fn page(area: u32, p: u64) -> DbPage {
         DbPage { area, page: p }
     }
 
-    fn seg_page(w: &World, server: usize) -> DbPage {
+    pub(super) fn seg_page(w: &World, server: usize) -> DbPage {
         let areas = w.servers[server].areas();
         let id = areas.ids()[0];
         let seg = areas.get(id).unwrap().alloc(1).unwrap();
         page(id, seg.start_page)
     }
 
-    fn update(p: DbPage, offset: u32, before: &[u8], after: &[u8]) -> PageUpdate {
+    pub(super) fn update(p: DbPage, offset: u32, before: &[u8], after: &[u8]) -> PageUpdate {
         PageUpdate {
             page: p,
             offset,
@@ -483,10 +502,7 @@ mod tests {
         );
         let p = seg_page(&w, 0);
         // A local app connects to the node server as its "home".
-        let mut cfg = ClientConfig::new(NodeId(51), ns.node());
-        cfg.caching = true;
-        cfg.gateway = Some(ns.node());
-        let app = ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg);
+        let app = gateway_app(&w.net, &w.dir, &ns, 51);
 
         app.begin().unwrap();
         let d1 = app.fetch_page(p, LockMode::S).unwrap();
@@ -510,10 +526,7 @@ mod tests {
             &w.net,
         );
         let p = seg_page(&w, 0);
-        let mut cfg = ClientConfig::new(NodeId(51), ns.node());
-        cfg.caching = true;
-        cfg.gateway = Some(ns.node());
-        let app = ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg);
+        let app = gateway_app(&w.net, &w.dir, &ns, 51);
 
         app.begin().unwrap();
         app.fetch_page(p, LockMode::X).unwrap();
@@ -541,10 +554,7 @@ mod tests {
         );
         let p = seg_page(&w, 0);
         // Local app (through node server) takes and caches an X lock.
-        let mut cfg = ClientConfig::new(NodeId(51), ns.node());
-        cfg.caching = true;
-        cfg.gateway = Some(ns.node());
-        let app = ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg);
+        let app = gateway_app(&w.net, &w.dir, &ns, 51);
         app.begin().unwrap();
         app.fetch_page(p, LockMode::X).unwrap();
         app.commit(vec![update(p, 0, &[0], &[3])]).unwrap();
@@ -644,6 +654,31 @@ mod tests {
         assert!(held().is_empty());
     }
 
+    /// The node server retries a transient upstream failure like any
+    /// client: a dropped lock request is resent, and the application never
+    /// sees the loss.
+    #[test]
+    fn node_server_retries_a_dropped_upstream_request() {
+        let w = world(&[&[0]]);
+        let mut cfg = NodeServerConfig::new(NodeId(50));
+        cfg.rpc_timeout = Duration::from_millis(200);
+        cfg.heartbeat_interval = Duration::from_secs(60);
+        let ns = NodeServer::start(cfg, Arc::clone(&w.dir), &w.net);
+        let p = seg_page(&w, 0);
+        let app = gateway_app(&w.net, &w.dir, &ns, 51);
+        // The node server's first upstream message — the page's lock
+        // request — vanishes on the wire.
+        let plan = bess_net::NetFaultPlan::armed_from(ns.node(), 0, bess_net::NetFaultKind::Drop);
+        w.net.arm(Arc::clone(&plan));
+        app.begin().unwrap();
+        let data = app.fetch_page(p, LockMode::S).unwrap();
+        assert_eq!(data.len(), app.page_size());
+        app.commit(vec![]).unwrap();
+        assert_eq!(plan.fired(), 1);
+        assert_eq!(ns.stats().retries.get(), 1);
+        assert_eq!(app.stats().retries.get(), 0);
+    }
+
     /// The node server scopes an application's `ReleaseAll` the same way:
     /// a late release of T1 leaves T2's local lock in place, so another
     /// application still waits for it.
@@ -677,61 +712,34 @@ mod client_logging_tests {
     //! §6 of the paper — "exploiting client disks": the node server commits
     //! local transactions on its own log, ships write-behind, and recovers
     //! unshipped commits after a node crash.
+    use super::tests::update;
     use super::*;
     use bess_cache::{AreaSet, DbPage};
     use bess_lock::LockMode;
     use bess_net::{Network, NodeId};
-    use bess_storage::{AreaConfig, AreaId, StorageArea};
     use bess_wal::LogManager;
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn world() -> (
+    /// One server owning area 0, and a fresh page there.
+    fn world(
+        latency: Duration,
+    ) -> (
         Arc<Network<Msg>>,
         Arc<Directory>,
         Arc<AreaSet>,
         BessServer,
         DbPage,
     ) {
-        let net = Network::new(Duration::ZERO);
-        let dir = Arc::new(Directory::new());
-        let set = Arc::new(AreaSet::new());
-        set.add(Arc::new(
-            StorageArea::create_mem(AreaId(0), AreaConfig::default()).unwrap(),
-        ));
-        register_areas(&dir, NodeId(100), &set);
-        let (server, _) = BessServer::start(
-            ServerConfig::new(NodeId(100)),
-            Arc::clone(&set),
-            LogManager::create_mem(),
-            &net,
-        );
-        let seg = set.get(0).unwrap().alloc(1).unwrap();
-        let page = DbPage {
-            area: 0,
-            page: seg.start_page,
-        };
-        (net, dir, set, server, page)
-    }
-
-    fn app(net: &Arc<Network<Msg>>, dir: &Arc<Directory>, ns: &NodeServer, node: u32) -> Arc<ClientConn> {
-        let mut cfg = ClientConfig::new(NodeId(node), ns.node());
-        cfg.gateway = Some(ns.node());
-        ClientConn::connect(net, Arc::clone(dir), cfg)
-    }
-
-    fn upd(page: DbPage, before: &[u8], after: &[u8]) -> PageUpdate {
-        PageUpdate {
-            page,
-            offset: 0,
-            before: before.to_vec(),
-            after: after.to_vec(),
-        }
+        let mut w = super::tests::world_with_latency(&[&[0]], latency);
+        let page = super::tests::seg_page(&w, 0);
+        let server = w.servers.remove(0);
+        (w.net, w.dir, Arc::clone(server.areas()), server, page)
     }
 
     #[test]
     fn write_behind_ship_completes() {
-        let (net, dir, set, _server, page) = world();
+        let (net, dir, set, _server, page) = world(Duration::ZERO);
         let (ns, reshipped) = NodeServer::start_with_log(
             NodeServerConfig::new(NodeId(50)),
             Arc::clone(&dir),
@@ -739,10 +747,10 @@ mod client_logging_tests {
             LogManager::create_mem(),
         );
         assert_eq!(reshipped, 0);
-        let a = app(&net, &dir, &ns, 51);
+        let a = super::tests::gateway_app(&net, &dir, &ns, 51);
         a.begin().unwrap();
         a.fetch_page(page, LockMode::X).unwrap();
-        a.commit(vec![upd(page, &[0; 4], b"ship")]).unwrap();
+        a.commit(vec![update(page, 0, &[0; 4], b"ship")]).unwrap();
         ns.drain_shipments();
         // The owner server has the bytes.
         let area = set.get(0).unwrap();
@@ -754,14 +762,14 @@ mod client_logging_tests {
 
     #[test]
     fn local_commit_survives_owner_outage_and_node_crash() {
-        let (net, dir, set, server, page) = world();
+        let (net, dir, set, server, page) = world(Duration::ZERO);
         let (ns, _) = NodeServer::start_with_log(
             NodeServerConfig::new(NodeId(50)),
             Arc::clone(&dir),
             &net,
             LogManager::create_mem(),
         );
-        let a = app(&net, &dir, &ns, 51);
+        let a = super::tests::gateway_app(&net, &dir, &ns, 51);
         // Take the lock while the owner is still reachable.
         a.begin().unwrap();
         a.fetch_page(page, LockMode::X).unwrap();
@@ -771,7 +779,7 @@ mod client_logging_tests {
 
         // The commit still succeeds: it is durable on the node's log (§6:
         // "the BeSS node server will be able to commit local transactions").
-        a.commit(vec![upd(page, &[0; 7], b"durable")]).unwrap();
+        a.commit(vec![update(page, 0, &[0; 7], b"durable")]).unwrap();
         assert_eq!(ns.stats().local_commits.get(), 1);
 
         // Node crashes before ever shipping. Keep only the flushed log.
@@ -803,28 +811,51 @@ mod client_logging_tests {
         assert_eq!(&buf[0..7], b"durable");
     }
 
+    /// A callback for a page whose shipment failed waits for it, and
+    /// must not keep a stopping node server from shutting down.
+    #[test]
+    fn node_crash_is_not_held_up_by_a_callback_waiting_on_a_shipment() {
+        let (net, dir, _set, server, page) = world(Duration::ZERO);
+        let mut cfg = NodeServerConfig::new(NodeId(50));
+        cfg.heartbeat_interval = Duration::from_secs(60);
+        let log = LogManager::create_mem();
+        let (ns, _) = NodeServer::start_with_log(cfg, Arc::clone(&dir), &net, log);
+        let a = super::tests::gateway_app(&net, &dir, &ns, 51);
+        a.begin().unwrap();
+        a.fetch_page(page, LockMode::X).unwrap();
+        // The shipment fails: the owner is cut off when it leaves.
+        net.partition(server.node());
+        a.commit(vec![update(page, 0, &[0; 2], b"zz")]).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while net.stats().unreachable.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "the shipment was never tried");
+            std::thread::yield_now();
+        }
+        net.heal(server.node());
+        // A direct client's request makes the owner call the node back.
+        let cfg = ClientConfig::new(NodeId(70), server.node());
+        let direct = ClientConn::connect(&net, Arc::clone(&dir), cfg);
+        direct.begin().unwrap();
+        let reader = std::thread::spawn(move || direct.fetch_page(page, LockMode::X).is_ok());
+        while ns.stats().callbacks.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "no callback reached the node");
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(ns);
+            let _ = tx.send(());
+        });
+        assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok(), "node server drop hung");
+        // The unshipped commit still guards the page.
+        assert!(!reader.join().unwrap());
+    }
+
     #[test]
     fn commit_latency_is_independent_of_owner_latency() {
         // The §6 payoff: with client logging, commit latency is the local
         // log force, not the server round trip.
-        let net: Arc<Network<Msg>> = Network::new(Duration::from_millis(5));
-        let dir = Arc::new(Directory::new());
-        let set = Arc::new(AreaSet::new());
-        set.add(Arc::new(
-            StorageArea::create_mem(AreaId(0), AreaConfig::default()).unwrap(),
-        ));
-        register_areas(&dir, NodeId(100), &set);
-        let (_server, _) = BessServer::start(
-            ServerConfig::new(NodeId(100)),
-            Arc::clone(&set),
-            LogManager::create_mem(),
-            &net,
-        );
-        let seg = set.get(0).unwrap().alloc(1).unwrap();
-        let page = DbPage {
-            area: 0,
-            page: seg.start_page,
-        };
+        let (net, dir, _set, _server, page) = world(Duration::from_millis(5));
 
         let time_commits = |with_log: bool| -> Duration {
             let node = if with_log { 60 } else { 61 };
@@ -858,7 +889,7 @@ mod client_logging_tests {
             )
             .unwrap();
             let t0 = std::time::Instant::now();
-            h.commit(txn, vec![upd(page, &[0], &[1])]).unwrap();
+            h.commit(txn, vec![update(page, 0, &[0], &[1])]).unwrap();
             let dt = t0.elapsed();
             ns.drain_shipments();
             // Graceful shutdown releases the cached server locks so the

@@ -13,25 +13,34 @@
 //!
 //! * **copy on access** — over the message protocol (the simulated IPC),
 //!   like any remote client, but served from the node's shared cache;
-//! * **shared memory** — in-process, through [`NodeServer::shared_cache`]
-//!   and the direct `local_*` methods, paying no IPC at all.
+//! * **shared memory** — in-process, through a [`NodeHandle`] to the
+//!   node's shared cache and transactions, paying no IPC at all.
+//!
+//! Towards the owning servers it is just another caching client: it talks
+//! upstream through the same [`Upstream`] path as a
+//! [`ClientConn`](crate::ClientConn) (retrying calls, lease upkeep,
+//! callback answers, commit routing) and serves its applications on the
+//! same serve loop as a [`BessServer`](crate::BessServer).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bess_obs::{Counter, Group, Registry};
 use bess_cache::{DbPage, GetOutcome, PageIo, SharedCache};
-use bess_lock::{CacheDecision, CallbackResponse, LockCache, LockManager, LockMode, LockName, TxnId};
-use bess_net::{Caller, Endpoint, NetError, Network, NodeId};
+use bess_lock::{CacheDecision, LockCache, LockManager, LockMode, LockName, TxnId};
+use bess_net::{Network, NodeId};
 use bess_vm::PageStore;
 use bess_wal::{LogBody, LogManager, LogPageId, Lsn};
 use parking_lot::{Condvar, Mutex};
 
+use crate::client::ClientError;
 use crate::directory::Directory;
 use crate::proto::{Msg, PageUpdate};
+use crate::server::serve_loop;
+use crate::upstream::{answer_callback, Upstream, RETRY_BASE};
 
 /// Node-server configuration.
 #[derive(Clone, Debug)]
@@ -46,7 +55,8 @@ pub struct NodeServerConfig {
     pub page_size: usize,
     /// Lock timeout for local lock waits.
     pub lock_timeout: Duration,
-    /// RPC timeout towards owning servers.
+    /// RPC timeout towards owning servers (transient failures are retried
+    /// with the client's default backoff).
     pub rpc_timeout: Duration,
     /// How often the node server renews its lease at the owning servers
     /// (it holds cached locks on behalf of its applications, so a silent
@@ -97,6 +107,9 @@ pub struct NodeServerStats {
     /// Locally-committed transactions re-shipped after a node restart
     /// (`nodeserver.reshipped`).
     pub reshipped: Counter,
+    /// Upstream RPC retries after transient network failures
+    /// (`nodeserver.retries`).
+    pub retries: Counter,
 }
 
 impl NodeServerStats {
@@ -111,6 +124,7 @@ impl NodeServerStats {
             global_commits: group.counter("global_commits"),
             local_commits: group.counter("local_commits"),
             reshipped: group.counter("reshipped"),
+            retries: group.counter("retries"),
         }
     }
 }
@@ -118,14 +132,12 @@ impl NodeServerStats {
 struct NsInner {
     cfg: NodeServerConfig,
     dir: Arc<Directory>,
-    caller: Caller<Msg>,
+    up: Upstream,
     cache: Arc<SharedCache>,
     /// Local strict-2PL among the node's applications.
     local_locks: LockManager,
     /// Node-level cache of locks granted by the owning servers.
     lock_cache: Arc<LockCache>,
-    pending_locks: Mutex<std::collections::HashSet<LockName>>,
-    raced_callbacks: Mutex<std::collections::HashSet<LockName>>,
     /// Each application's current transaction, as named by its latest
     /// begin notice; a `ReleaseAll` naming any other one is stale and
     /// ignored (see the server's `node_txns`).
@@ -139,19 +151,6 @@ struct NsInner {
     ship_done: Condvar,
     // LINT: allow(raw-counter) — local transaction-id allocator, not a metric
     next_txn: AtomicU64,
-    /// This node server's incarnation, folded into the high bits of every
-    /// shipped request id (see `client::make_req`): a restarted node server
-    /// must never be answered from the servers' dedup window with a reply
-    /// recorded for its previous life.
-    incarnation: u64,
-    /// Low-bits request counter for shipped commits (server-side dedup
-    /// keys).
-    // LINT: allow(raw-counter) — request-id allocator for upstream idempotent retry, not a metric
-    next_req: AtomicU64,
-    /// Last time any message went to each owning server; the idle tick
-    /// suppresses a standalone heartbeat when real traffic already renewed
-    /// the lease within the heartbeat interval.
-    last_sent: Mutex<HashMap<u32, Instant>>,
     running: AtomicBool,
     group: Group,
     stats: NodeServerStats,
@@ -198,11 +197,17 @@ impl NodeServer {
         let cache = SharedCache::new(cfg.cache_slots, cfg.cache_vframes, cfg.page_size);
         let group = Registry::new().group("nodeserver");
         let inner = Arc::new(NsInner {
-            caller: net.caller(cfg.node),
+            up: Upstream::new(
+                net.caller(cfg.node),
+                Arc::clone(&dir),
+                None,
+                cfg.rpc_timeout,
+                RETRY_BASE,
+                cfg.heartbeat_interval,
+                &group,
+            ),
             local_locks: LockManager::new(cfg.lock_timeout),
             lock_cache: Arc::new(LockCache::new()),
-            pending_locks: Mutex::new(std::collections::HashSet::new()),
-            raced_callbacks: Mutex::new(std::collections::HashSet::new()),
             app_txns: Mutex::new(HashMap::new()),
             local_log,
             unshipped: Mutex::new(HashMap::new()),
@@ -210,9 +215,6 @@ impl NodeServer {
             cache,
             dir,
             next_txn: AtomicU64::new(1),
-            incarnation: crate::client::fresh_incarnation(),
-            next_req: AtomicU64::new(1),
-            last_sent: Mutex::new(HashMap::new()),
             running: AtomicBool::new(true),
             stats: NodeServerStats::new(&group),
             group,
@@ -235,7 +237,18 @@ impl NodeServer {
         let reshipped = inner.recover_local_log();
         let endpoint = net.register(inner.cfg.node);
         let loop_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || ns_loop(loop_inner, endpoint));
+        let handle = std::thread::spawn(move || {
+            let handler = Arc::clone(&loop_inner);
+            // Renew this node's lease at the owning servers so its cached
+            // locks aren't reaped.
+            serve_loop(
+                endpoint,
+                &loop_inner.running,
+                move |from, msg| handler.handle(from, msg),
+                loop_inner.cfg.heartbeat_interval,
+                || loop_inner.up.renew_leases(|| loop_inner.dir.servers()),
+            )
+        });
         (
             NodeServer {
                 inner,
@@ -253,28 +266,12 @@ impl NodeServer {
     /// Blocks until every locally-committed transaction has been shipped
     /// to (and acknowledged by) its owning servers.
     pub fn drain_shipments(&self) {
-        let mut pending = self.inner.unshipped.lock();
-        while !pending.is_empty() {
-            self.inner.ship_done.wait(&mut pending);
-        }
+        self.inner.wait_unshipped(None);
     }
 
     /// This node server's node id.
     pub fn node(&self) -> NodeId {
         self.inner.cfg.node
-    }
-
-    /// The shared cache (Figure 3) — shared-memory-mode applications attach
-    /// [`bess_cache::SharedView`]s to it directly.
-    pub fn shared_cache(&self) -> &Arc<SharedCache> {
-        &self.inner.cache
-    }
-
-    /// A [`PageIo`] that shared-memory-mode views use to fill misses: it
-    /// routes through the node server's fetch logic (locks at the owning
-    /// server under the node's identity) without any IPC.
-    pub fn shared_io(&self) -> Arc<dyn PageIo> {
-        Arc::new(NsIo(Arc::clone(&self.inner)))
     }
 
     /// The node server's metric group (`nodeserver.*` in its registry).
@@ -287,43 +284,6 @@ impl NodeServer {
         &self.inner.stats
     }
 
-    /// The node-level lock cache (inspection).
-    pub fn lock_cache(&self) -> &Arc<LockCache> {
-        &self.inner.lock_cache
-    }
-
-    // ---- the shared-memory (in-process) interface -----------------------
-    // "Note also that the interface provided by the node server is the same
-    // in both modes, it is just the process boundaries that differ" (§4.1).
-
-    /// Begins a transaction for a local shared-memory application.
-    pub fn local_begin(&self) -> u64 {
-        let seq = self.inner.next_txn.fetch_add(1, Ordering::Relaxed);
-        (u64::from(self.inner.cfg.node.0) << 32) | seq
-    }
-
-    /// Acquires a lock for local application transaction `txn`.
-    pub fn local_lock(&self, txn: u64, name: LockName, mode: LockMode) -> Result<(), String> {
-        self.inner.lock_for(TxnId(txn), name, mode)
-    }
-
-    /// Commits a local application transaction with its page updates.
-    pub fn local_commit(&self, txn: u64, updates: Vec<PageUpdate>) -> Result<(), String> {
-        let r = self.inner.commit_for(txn, updates);
-        self.inner.end_local_txn(TxnId(txn));
-        r
-    }
-
-    /// Aborts a local application transaction.
-    pub fn local_abort(&self, txn: u64) {
-        // Purge dirty (uncommitted) pages so later readers refetch clean
-        // content from the owning servers.
-        for (page, _) in self.inner.cache.drain_dirty() {
-            self.inner.cache.purge(page);
-        }
-        self.inner.end_local_txn(TxnId(txn));
-    }
-
     /// A cloneable, owner-independent handle to this node server, for
     /// shared-memory sessions that live in the same process (§4.1.2).
     pub fn handle(&self) -> NodeHandle {
@@ -334,146 +294,53 @@ impl NodeServer {
     /// lock cached at the owning servers is released. (Dropping without
     /// calling this models a node *crash*: the servers keep the node's
     /// locks, which is exactly what §6 re-shipping relies on.)
-    pub fn shutdown(mut self) {
-        {
-            // Bounded drain: shipments that cannot complete (an owner is
-            // down) stay in the local log and re-ship at the next start.
-            let deadline = std::time::Instant::now() + self.inner.cfg.rpc_timeout;
+    pub fn shutdown(self) {
+        // Bounded drain: shipments that cannot complete (an owner is down)
+        // stay in the local log and re-ship at the next start.
+        let deadline = std::time::Instant::now() + self.inner.cfg.rpc_timeout;
+        let drained = {
             let mut pending = self.inner.unshipped.lock();
-            while !pending.is_empty() && std::time::Instant::now() < deadline {
-                if self
+            while !pending.is_empty()
+                && !self
                     .inner
                     .ship_done
                     .wait_until(&mut pending, deadline)
                     .timed_out()
-                {
-                    break;
-                }
-            }
-            if !pending.is_empty() {
-                // Keep the unshipped transactions' locks at the servers:
-                // skip the lock release below for safety.
-                drop(pending);
-                self.inner.running.store(false, Ordering::Relaxed);
-                if let Some(h) = self.handle.take() {
-                    let _ = h.join();
-                }
-                return;
-            }
+            {}
+            pending.is_empty()
+        };
+        // The unshipped transactions' locks stay at the servers for safety.
+        if drained {
+            self.inner.up.release_cached(self.inner.lock_cache.clear());
         }
-        let names = self.inner.lock_cache.clear();
-        let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();
-        for name in names {
-            let owner = match name {
-                LockName::Page { area, .. }
-                | LockName::Segment { area, .. }
-                | LockName::Object { area, .. } => self.inner.dir.owner(area),
-                _ => self.inner.dir.servers().first().copied(),
-            };
-            if let Some(owner) = owner {
-                by_owner.entry(owner).or_default().push(name);
-            }
-        }
-        for (owner, names) in by_owner {
-            let _ = self.inner.caller.call(
-                owner,
-                Msg::ReleaseCached { names },
-                self.inner.cfg.rpc_timeout,
-            );
-        }
-        self.inner.running.store(false, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        // Dropping `self` stops the serve loop.
     }
 }
 
 impl Drop for NodeServer {
     fn drop(&mut self) {
         self.inner.running.store(false, Ordering::Relaxed);
+        // Wake callbacks waiting on shipments that may never complete, so
+        // the serve loop's workers can finish. Notifying under the lock
+        // means a waiter has either not checked `running` yet or is parked.
+        {
+            let _pending = self.inner.unshipped.lock();
+            self.inner.ship_done.notify_all();
+        }
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn ns_loop(inner: Arc<NsInner>, endpoint: Endpoint<Msg>) {
-    let mut last_heartbeat = std::time::Instant::now();
-    while inner.running.load(Ordering::Relaxed) {
-        match endpoint.recv(Duration::from_millis(50)) {
-            Ok(env) => {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || {
-                    let from = env.from;
-                    let msg = env.msg.clone();
-                    let reply = inner.handle(from, msg);
-                    env.reply(reply);
-                });
-            }
-            Err(NetError::Timeout) => {
-                // Idle tick: renew this node's lease at the owning
-                // servers so its cached locks aren't reaped. Servers renew
-                // on every message, so a heartbeat is suppressed wherever
-                // real traffic went recently.
-                if last_heartbeat.elapsed() >= inner.cfg.heartbeat_interval {
-                    last_heartbeat = std::time::Instant::now();
-                    let now = std::time::Instant::now();
-                    for server in inner.dir.servers() {
-                        let recent = inner
-                            .last_sent
-                            .lock()
-                            .get(&server.0)
-                            .is_some_and(|at| {
-                                now.duration_since(*at) < inner.cfg.heartbeat_interval
-                            });
-                        if recent {
-                            inner.caller.stats().heartbeats_suppressed.inc();
-                            continue;
-                        }
-                        if inner.caller.send(server, Msg::Heartbeat).is_ok() {
-                            inner.note_sent(server);
-                        }
-                    }
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 impl NsInner {
-    /// Records outbound traffic to `to` (feeds heartbeat suppression).
-    fn note_sent(&self, to: NodeId) {
-        self.last_sent.lock().insert(to.0, Instant::now());
-    }
-
-    /// An upstream call with send-time tracking, so the idle tick knows
-    /// which servers real traffic already visited.
-    fn call_srv(&self, to: NodeId, msg: Msg) -> Result<Msg, NetError> {
-        self.note_sent(to);
-        self.caller.call(to, msg, self.cfg.rpc_timeout)
-    }
-
     fn handle(self: &Arc<Self>, from: NodeId, msg: Msg) -> Msg {
-        // Unwrap piggybacked trailers from local applications: run them in
-        // frame order before the carrier, returning only `TxnId` replies.
-        let (msg, trailers) = match msg {
-            Msg::WithTrailers { msg, trailers } => {
-                self.caller.stats().trailers.add(trailers.len() as u64);
-                (*msg, trailers)
-            }
-            m => (m, Vec::new()),
-        };
-        if !trailers.is_empty() {
-            let mut t_replies = Vec::new();
-            for t in trailers {
-                let r = self.handle(from, t);
-                if matches!(r, Msg::TxnId(_)) {
-                    t_replies.push(r);
-                }
-            }
-            let reply = self.handle(from, msg);
-            return Msg::with_trailers(reply, t_replies);
+        // Piggybacked trailers from local applications (begin notices and
+        // releases) run first, in frame order; none has a reply to return.
+        let (msg, trailers) = msg.split_trailers();
+        self.up.caller().stats().trailers.add(trailers.len() as u64);
+        for t in trailers {
+            self.handle(from, t);
         }
         match msg {
             // A local application's begin notice: its transaction id is
@@ -506,19 +373,13 @@ impl NsInner {
                 Err(e) => Msg::Err(e),
             },
             Msg::Commit { txn, updates, .. } => {
-                let r = self.commit_for(txn, updates);
-                self.end_local_txn(TxnId(u64::from(from.0)));
-                match r {
+                match self.commit_local(txn, TxnId(u64::from(from.0)), updates) {
                     Ok(()) => Msg::Ok,
                     Err(e) => Msg::Err(e),
                 }
             }
-            Msg::Abort { txn } => {
-                let _ = txn;
-                for (page, _) in self.cache.drain_dirty() {
-                    self.cache.purge(page);
-                }
-                self.end_local_txn(TxnId(u64::from(from.0)));
+            Msg::Abort { .. } => {
+                self.abort_local(TxnId(u64::from(from.0)));
                 Msg::Ok
             }
             Msg::ReleaseAll { txn } => {
@@ -535,45 +396,21 @@ impl NsInner {
             Msg::AllocSegment { area, .. }
             | Msg::FreeSegment { area, .. }
             | Msg::ReadAt { area, .. }
-            | Msg::WriteAt { area, .. } => match self.dir.owner(area) {
-                Some(owner) => self
-                    .call_srv(owner, msg)
+            | Msg::WriteAt { area, .. } => match self.up.owner(area) {
+                Ok(owner) => self
+                    .up
+                    .call(owner, msg)
                     .unwrap_or_else(|e| Msg::Err(e.to_string())),
-                None => Msg::Err(format!("no owner for area {area}")),
+                Err(e) => Msg::Err(e.to_string()),
             },
             // A server calls back a lock this node caches.
-            Msg::Callback { name } => {
+            Msg::Callback { name } | Msg::CallbackDowngrade { name, .. } => {
                 self.stats.callbacks.inc();
-                self.wait_unshipped_for(&name);
-                match self.lock_cache.callback(name) {
-                    CallbackResponse::Released => {
-                        if let LockName::Page { area, page } = name {
-                            self.cache.purge(DbPage { area, page });
-                        }
-                        Msg::CallbackReleased
-                    }
-                    CallbackResponse::NotCached => {
-                        if self.pending_locks.lock().contains(&name) {
-                            self.raced_callbacks.lock().insert(name);
-                            Msg::CallbackDeferred
-                        } else {
-                            if let LockName::Page { area, page } = name {
-                                self.cache.purge(DbPage { area, page });
-                            }
-                            Msg::CallbackReleased
-                        }
-                    }
-                    CallbackResponse::Deferred => Msg::CallbackDeferred,
+                // A stopping node keeps what it has not shipped.
+                if !self.wait_unshipped(page_of(name)) {
+                    return Msg::CallbackDeferred;
                 }
-            }
-            Msg::CallbackDowngrade { name, to } => {
-                self.stats.callbacks.inc();
-                self.wait_unshipped_for(&name);
-                if self.lock_cache.callback_downgrade(name, to) {
-                    Msg::CallbackReleased
-                } else {
-                    Msg::CallbackDeferred
-                }
+                answer_callback(&self.lock_cache, &msg, |name| self.purge(name))
             }
             other => Msg::Err(format!("node server got unexpected: {other:?}")),
         }
@@ -593,39 +430,23 @@ impl NsInner {
             }
             CacheDecision::Miss { need } => {
                 self.stats.lock_remote.inc();
-                let owner = match name {
-                    LockName::Page { area, .. }
-                    | LockName::Segment { area, .. }
-                    | LockName::Object { area, .. } => self
-                        .dir
-                        .owner(area)
-                        .ok_or_else(|| format!("no owner for area {area}"))?,
-                    _ => self
-                        .dir
-                        .servers()
-                        .first()
-                        .copied()
-                        .ok_or_else(|| "no servers".to_string())?,
-                };
-                self.pending_locks.lock().insert(name);
-                let reply = self.call_srv(owner, Msg::Lock { name, mode: need });
-                let out = match reply {
-                    Ok(Msg::Granted) => {
-                        self.lock_cache.grant(txn, name, need);
-                        Ok(())
-                    }
+                let reply = self
+                    .up
+                    .lock_owner(&name)
+                    .and_then(|owner| Ok(self.up.call(owner, Msg::Lock { name, mode: need })?));
+                if let Ok(Msg::Granted) = reply {
+                    self.lock_cache.grant(txn, name, need);
+                    return Ok(());
+                }
+                self.lock_cache.abandon(name);
+                match reply {
                     Ok(Msg::Denied(m)) => {
                         let _ = self.local_locks.unlock(txn, name);
                         Err(m)
                     }
                     Ok(other) => Err(format!("bad reply {other:?}")),
                     Err(e) => Err(e.to_string()),
-                };
-                self.pending_locks.lock().remove(&name);
-                if self.raced_callbacks.lock().remove(&name) {
-                    self.lock_cache.mark_callback_pending(name);
                 }
-                out
             }
         }
     }
@@ -672,11 +493,8 @@ impl NsInner {
 
     fn fetch_remote(&self, page: DbPage) -> Result<Vec<u8>, String> {
         self.stats.remote_fetches.inc();
-        let owner = self
-            .dir
-            .owner(page.area)
-            .ok_or_else(|| format!("no owner for area {}", page.area))?;
-        match self.call_srv(owner, Msg::ReadPage { page }) {
+        let owner = self.up.owner(page.area).map_err(|e| e.to_string())?;
+        match self.up.call(owner, Msg::ReadPage { page }) {
             Ok(Msg::PageData(data)) => Ok(data),
             Ok(Msg::Err(e)) => Err(e),
             Ok(other) => Err(format!("bad reply {other:?}")),
@@ -690,46 +508,46 @@ impl NsInner {
     /// servers own data).
     fn commit_for(self: &Arc<Self>, txn: u64, updates: Vec<PageUpdate>) -> Result<(), String> {
         if let Some(log) = self.local_log.clone() {
-            if !updates.is_empty() {
-                // 1. Locally durable commit.
-                let begin = log.append(txn, Lsn::NULL, LogBody::Begin);
-                let mut prev = begin;
-                for u in &updates {
-                    prev = log.append(
-                        txn,
-                        prev,
-                        LogBody::Update {
-                            page: LogPageId {
-                                area: u.page.area,
-                                page: u.page.page,
-                            },
-                            offset: u.offset,
-                            before: u.before.clone(),
-                            after: u.after.clone(),
-                        },
-                    );
-                }
-                let commit = log.append(txn, prev, LogBody::Commit);
-                log.flush(commit).map_err(|e| e.to_string())?;
-                self.stats.local_commits.inc();
-                // 2. Refresh the shared cache now: the node is the
-                //    authority for its committed transactions.
-                self.refresh_cache(&updates);
-                self.unshipped.lock().insert(txn, (commit, updates.clone()));
-                // 3. Write-behind shipping.
-                let inner = Arc::clone(self);
-                std::thread::spawn(move || {
-                    let ok = inner.ship(txn, &updates).is_ok();
-                    let mut pending = inner.unshipped.lock();
-                    if ok {
-                        if let Some((commit, _)) = pending.remove(&txn) {
-                            log.append(txn, commit, LogBody::End);
-                        }
-                    }
-                    inner.ship_done.notify_all();
-                });
+            if updates.is_empty() {
                 return Ok(());
             }
+            // 1. Locally durable commit.
+            let begin = log.append(txn, Lsn::NULL, LogBody::Begin);
+            let mut prev = begin;
+            for u in &updates {
+                prev = log.append(
+                    txn,
+                    prev,
+                    LogBody::Update {
+                        page: LogPageId {
+                            area: u.page.area,
+                            page: u.page.page,
+                        },
+                        offset: u.offset,
+                        before: u.before.clone(),
+                        after: u.after.clone(),
+                    },
+                );
+            }
+            let commit = log.append(txn, prev, LogBody::Commit);
+            log.flush(commit).map_err(|e| e.to_string())?;
+            self.stats.local_commits.inc();
+            // 2. Refresh the shared cache now: the node is the
+            //    authority for its committed transactions.
+            self.refresh_cache(&updates);
+            self.unshipped.lock().insert(txn, (commit, updates.clone()));
+            // 3. Write-behind shipping.
+            let inner = Arc::clone(self);
+            std::thread::spawn(move || {
+                let ok = inner.ship(txn, &updates).is_ok();
+                let mut pending = inner.unshipped.lock();
+                if ok {
+                    if let Some((commit, _)) = pending.remove(&txn) {
+                        log.append(txn, commit, LogBody::End);
+                    }
+                }
+                inner.ship_done.notify_all();
+            });
             return Ok(());
         }
         let r = self.ship(txn, &updates);
@@ -805,117 +623,97 @@ impl NsInner {
         reshipped
     }
 
-    /// Ships a commit to the owning servers (2PC when several own data).
+    /// Ships a commit to the owning servers (2PC when several own data,
+    /// coordinated by the lowest write owner).
     fn ship(&self, txn: u64, updates: &[PageUpdate]) -> Result<(), String> {
-        let updates = updates.to_vec();
-        let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
-        for u in &updates {
-            let owner = self
-                .dir
-                .owner(u.page.area)
-                .ok_or_else(|| format!("no owner for area {}", u.page.area))?;
-            by_owner.entry(owner).or_default().push(u.clone());
-        }
-        let outcome = match by_owner.len() {
-            0 => Ok(()),
-            1 => {
-                self.stats.commits.inc();
-                let (owner, ups) = by_owner.into_iter().next().expect("one");
-                let req =
-                    crate::client::make_req(self.incarnation, self.next_req.fetch_add(1, Ordering::Relaxed));
-                match self.call_srv(
-                    owner,
-                    Msg::Commit {
-                        txn,
-                        updates: ups,
-                        req,
-                    },
-                ) {
-                    Ok(Msg::Ok) => Ok(()),
-                    Ok(Msg::Err(e)) => Err(e),
-                    Ok(other) => Err(format!("bad reply {other:?}")),
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            _ => {
-                self.stats.global_commits.inc();
-                let coordinator = *by_owner.keys().min().expect("nonempty");
-                let gtxn = match self.call_srv(coordinator, Msg::BeginGlobal) {
-                    Ok(Msg::TxnId(g)) => g,
-                    Ok(other) => return Err(format!("bad reply {other:?}")),
-                    Err(e) => return Err(e.to_string()),
-                };
-                let participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
-                // Every branch rides the commit frame: the coordinator
-                // stages its own and forwards the rest in phase 1.
-                let branches: Vec<(u32, Vec<PageUpdate>)> =
-                    by_owner.into_iter().map(|(n, ups)| (n.0, ups)).collect();
-                let req =
-                    crate::client::make_req(self.incarnation, self.next_req.fetch_add(1, Ordering::Relaxed));
-                match self.call_srv(
-                    coordinator,
-                    Msg::CommitGlobal {
-                        gtxn,
-                        participants,
-                        req,
-                        release_read_locks: false,
-                        branches,
-                    },
-                ) {
-                    Ok(Msg::Decision { committed: true }) => Ok(()),
-                    Ok(Msg::Decision { committed: false }) => Err("2PC aborted".into()),
-                    Ok(other) => Err(format!("bad reply {other:?}")),
-                    Err(e) => Err(e.to_string()),
-                }
-            }
+        let by_owner = self.up.by_owner(updates.to_vec()).map_err(|e| e.to_string())?;
+        let gtxn = |coordinator| match self.up.call(coordinator, Msg::BeginGlobal)? {
+            Msg::TxnId(g) => Ok(g),
+            other => Err(ClientError::Server(format!("bad reply {other:?}"))),
         };
-        outcome
+        let send = |to, msg: Msg| {
+            if matches!(msg, Msg::CommitGlobal { .. }) {
+                self.stats.global_commits.inc();
+            } else {
+                self.stats.commits.inc();
+            }
+            Ok(self.up.call(to, msg)?)
+        };
+        self.up
+            .commit(txn, by_owner, &[], gtxn, send)
+            .map_err(|e| e.to_string())
     }
 
     /// Callback safety under write-behind shipping: before releasing a
     /// cached lock back to a server, every locally-committed-but-unshipped
-    /// transaction touching that resource must reach the server, or the
-    /// next reader would see stale bytes.
-    fn wait_unshipped_for(&self, name: &LockName) {
-        let LockName::Page { area, page } = *name else {
-            // Conservative: wait for everything on non-page names.
-            let mut pending = self.unshipped.lock();
-            while !pending.is_empty() {
-                self.ship_done.wait(&mut pending);
-            }
-            return;
-        };
-        let target = DbPage { area, page };
+    /// transaction touching that page must reach the server, or the next
+    /// reader would see stale bytes. `None` (a non-page name, or a full
+    /// drain) waits for every shipment. Returns `false` if the node server
+    /// stopped first.
+    fn wait_unshipped(&self, page: Option<DbPage>) -> bool {
         let mut pending = self.unshipped.lock();
         while pending
             .values()
-            .any(|(_, ups)| ups.iter().any(|u| u.page == target))
+            .any(|(_, ups)| page.is_none_or(|p| ups.iter().any(|u| u.page == p)))
         {
+            if !self.running.load(Ordering::Relaxed) {
+                return false;
+            }
             self.ship_done.wait(&mut pending);
         }
+        true
+    }
+
+    /// A fresh local transaction id.
+    fn begin_local(&self) -> u64 {
+        let seq = self.next_txn.fetch_add(1, Ordering::Relaxed);
+        (u64::from(self.cfg.node.0) << 32) | seq
+    }
+
+    /// Commits `txn`, then ends the local transaction `locker` that holds
+    /// its locks (an application's node id over the wire, the transaction
+    /// itself in shared memory).
+    fn commit_local(
+        self: &Arc<Self>,
+        txn: u64,
+        locker: TxnId,
+        updates: Vec<PageUpdate>,
+    ) -> Result<(), String> {
+        let r = self.commit_for(txn, updates);
+        self.end_local_txn(locker);
+        r
+    }
+
+    /// Aborts: dirty (uncommitted) pages are purged so later readers
+    /// refetch clean content from the owning servers.
+    fn abort_local(&self, locker: TxnId) {
+        for (page, _) in self.cache.drain_dirty() {
+            self.cache.purge(page);
+        }
+        self.end_local_txn(locker);
     }
 
     fn end_local_txn(&self, txn: TxnId) {
         self.local_locks.unlock_all(txn);
         let released = self.lock_cache.finish_txn(txn);
-        let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();
-        for name in released {
-            if let LockName::Page { area, page } = name {
-                self.cache.purge(DbPage { area, page });
-            }
-            let owner = match name {
-                LockName::Page { area, .. }
-                | LockName::Segment { area, .. }
-                | LockName::Object { area, .. } => self.dir.owner(area),
-                _ => self.dir.servers().first().copied(),
-            };
-            if let Some(owner) = owner {
-                by_owner.entry(owner).or_default().push(name);
-            }
+        released.iter().for_each(|name| self.purge(*name));
+        self.up.release_cached(released);
+    }
+
+    /// Drops the shared-cache copy of a page whose node-level lock went
+    /// back to its server.
+    fn purge(&self, name: LockName) {
+        if let Some(page) = page_of(name) {
+            self.cache.purge(page);
         }
-        for (owner, names) in by_owner {
-            let _ = self.call_srv(owner, Msg::ReleaseCached { names });
-        }
+    }
+}
+
+/// The page a lock names, if it names one.
+fn page_of(name: LockName) -> Option<DbPage> {
+    match name {
+        LockName::Page { area, page } => Some(DbPage { area, page }),
+        _ => None,
     }
 }
 
@@ -939,8 +737,7 @@ impl NodeHandle {
 
     /// Begins a local transaction.
     pub fn begin(&self) -> u64 {
-        let seq = self.0.next_txn.fetch_add(1, Ordering::Relaxed);
-        (u64::from(self.0.cfg.node.0) << 32) | seq
+        self.0.begin_local()
     }
 
     /// Acquires a lock for a local transaction.
@@ -950,17 +747,12 @@ impl NodeHandle {
 
     /// Commits a local transaction with its page updates.
     pub fn commit(&self, txn: u64, updates: Vec<PageUpdate>) -> Result<(), String> {
-        let r = self.0.commit_for(txn, updates);
-        self.0.end_local_txn(TxnId(txn));
-        r
+        self.0.commit_local(txn, TxnId(txn), updates)
     }
 
     /// Aborts a local transaction.
     pub fn abort(&self, txn: u64) {
-        for (page, _) in self.0.cache.drain_dirty() {
-            self.0.cache.purge(page);
-        }
-        self.0.end_local_txn(TxnId(txn));
+        self.0.abort_local(TxnId(txn));
     }
 }
 

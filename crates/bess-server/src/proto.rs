@@ -559,6 +559,15 @@ impl<'a> Cursor<'a> {
 const MAX_TRAILER_DEPTH: u32 = 4;
 
 impl Msg {
+    /// Splits a frame into its carrier and its trailers (none for a bare
+    /// message): the inverse of [`Msg::with_trailers`].
+    pub fn split_trailers(self) -> (Msg, Vec<Msg>) {
+        match self {
+            Msg::WithTrailers { msg, trailers } => (*msg, trailers),
+            m => (m, Vec::new()),
+        }
+    }
+
     /// Wraps `msg` in a [`Msg::WithTrailers`] envelope, collapsing to the
     /// bare message when there is nothing to piggyback.
     pub fn with_trailers(msg: Msg, trailers: Vec<Msg>) -> Msg {

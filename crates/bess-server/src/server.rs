@@ -560,7 +560,18 @@ impl BessServer {
 
         let endpoint = net.register(inner.cfg.node);
         let loop_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || serve_loop(loop_inner, endpoint));
+        let handle = std::thread::spawn(move || {
+            let handler = Arc::clone(&loop_inner);
+            // Reap clients whose lease ran out, at least every quarter
+            // lease, so expiry is noticed promptly even under load.
+            serve_loop(
+                endpoint,
+                &loop_inner.running,
+                move |from, msg| handler.handle(from, msg),
+                loop_inner.cfg.lease_duration / 4,
+                || loop_inner.reap_expired(),
+            )
+        });
         (
             BessServer {
                 inner,
@@ -735,20 +746,34 @@ impl Drop for BessServer {
     }
 }
 
-/// Warm request-handler threads kept parked per server. Steady-state
+/// Warm request-handler threads kept parked per serve loop. Steady-state
 /// traffic is handed to one of these instead of paying a thread spawn per
 /// message; bursts (or messages arriving while every warm worker is busy
 /// in a long-blocking handler — a lock callback, a coordinator round)
 /// overflow to a transient spawn, so liveness never depends on pool size.
 const SERVE_POOL: usize = 4;
 
-fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
-    // Reaping must not depend on the loop going idle: a server under
-    // continuous load never hits the recv timeout, and a dead client's
-    // locks would be held forever. Reap on a time budget (a quarter of the
-    // lease, so expiry is noticed promptly) from the busy path too.
-    let reap_every = inner.cfg.lease_duration / 4;
-    let mut last_reap = Instant::now();
+/// Serves `endpoint` until `running` clears: each request runs `handler`
+/// on a warm worker (or an overflow thread) and its result is the reply.
+/// `tick` runs on every idle receive timeout and, under continuous load,
+/// whenever `tick_every` has passed since it last ran, so housekeeping
+/// never depends on the loop going idle. Both servers and node servers
+/// run on this loop.
+pub(crate) fn serve_loop<H>(
+    endpoint: Endpoint<Msg>,
+    running: &AtomicBool,
+    handler: H,
+    tick_every: Duration,
+    mut tick: impl FnMut(),
+) where
+    H: Fn(NodeId, Msg) -> Msg + Clone + Send + 'static,
+{
+    fn serve(handler: &impl Fn(NodeId, Msg) -> Msg, mut env: Envelope<Msg>) {
+        let msg = std::mem::replace(&mut env.msg, Msg::Ok);
+        let reply = handler(env.from, msg);
+        env.reply(reply);
+    }
+    let mut last_tick = Instant::now();
     // `idle` counts workers parked in `recv`. The dispatcher (this loop,
     // the only sender) hands a message to the pool only after reserving a
     // parked worker by decrementing the count, so a message can never
@@ -758,21 +783,18 @@ fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
     let mut workers = Vec::new();
     for _ in 0..SERVE_POOL {
         let rx = work_rx.clone();
-        let handler = Arc::clone(&inner);
+        let handler = handler.clone();
         let idle = Arc::clone(&idle);
         workers.push(std::thread::spawn(move || {
             idle.fetch_add(1, Ordering::SeqCst);
             while let Ok(env) = rx.recv() {
-                let from = env.from;
-                let msg = env.msg.clone();
-                let reply = handler.handle(from, msg);
-                env.reply(reply);
+                serve(&handler, env);
                 idle.fetch_add(1, Ordering::SeqCst);
             }
         }));
     }
     drop(work_rx);
-    while inner.running.load(Ordering::Relaxed) {
+    while running.load(Ordering::Relaxed) {
         match endpoint.recv(Duration::from_millis(50)) {
             Ok(env) => {
                 let mut env = Some(env);
@@ -784,23 +806,17 @@ fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
                     }
                 }
                 if let Some(env) = env {
-                    let handler = Arc::clone(&inner);
-                    std::thread::spawn(move || {
-                        let from = env.from;
-                        let msg = env.msg.clone();
-                        let reply = handler.handle(from, msg);
-                        env.reply(reply);
-                    });
+                    let handler = handler.clone();
+                    std::thread::spawn(move || serve(&handler, env));
                 }
-                if last_reap.elapsed() >= reap_every {
-                    last_reap = Instant::now();
-                    inner.reap_expired();
+                if last_tick.elapsed() >= tick_every {
+                    last_tick = Instant::now();
+                    tick();
                 }
             }
             Err(bess_net::NetError::Timeout) => {
-                // Idle tick: reap clients whose lease ran out.
-                last_reap = Instant::now();
-                inner.reap_expired();
+                last_tick = Instant::now();
+                tick();
             }
             Err(_) => break,
         }
@@ -822,13 +838,8 @@ impl ServerInner {
         // this delivery owns execution (i.e. after the dedup gate admits
         // the carrier), so a network-duplicated frame cannot run its
         // trailers twice or re-allocate a trailer-prefetched txn id.
-        let (msg, trailers) = match msg {
-            Msg::WithTrailers { msg, trailers } => {
-                self.caller.stats().trailers.add(trailers.len() as u64);
-                (*msg, trailers)
-            }
-            m => (m, Vec::new()),
-        };
+        let (msg, trailers) = msg.split_trailers();
+        self.caller.stats().trailers.add(trailers.len() as u64);
 
         // At-most-once execution for the non-idempotent requests: a
         // retried commit with the same request id gets the recorded reply

@@ -153,6 +153,9 @@ const NODESERVER_GOLDEN: &[&str] = &[
     "nodeserver.global_commits",
     "nodeserver.local_commits",
     "nodeserver.reshipped",
+    // The upstream path it shares with the client.
+    "nodeserver.retries",
+    "nodeserver.heartbeats",
     // SharedStats (bess-cache shared), adopted into the node server.
     "cache.shared.hits",
     "cache.shared.loads",
